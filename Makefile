@@ -14,7 +14,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 .PHONY: check lint test scheduler-equivalence global-state-gate \
         parallel-equivalence bench-gate bench-kernel \
         bench-kernel-smoke bench chaos-smoke bench-shards bench-shards-smoke \
-        bench-overload bench-overload-smoke
+        bench-overload bench-overload-smoke perfbench-smoke
 
 check: lint test scheduler-equivalence global-state-gate bench-gate chaos-smoke
 
@@ -72,6 +72,12 @@ bench-gate: bench-kernel-smoke bench-shards-smoke bench-overload-smoke
 # empty fault plan must leave the kernel determinism checksum untouched.
 chaos-smoke:
 	$(PYTHON) benchmarks/chaos_smoke.py
+
+# Benchmark of record, correctness only: two short runs whose exit code is
+# their own answer, determinism and digest checks. Timings are not gated.
+perfbench-smoke:
+	$(PYTHON) perfbench/run.py --workload bringup_store_400 --seed 1234 --seconds 15 --trace 0
+	$(PYTHON) perfbench/run.py --workload churn_400 --seed 1234 --seconds 15 --trace 0
 
 bench-kernel:
 	$(PYTHON) benchmarks/bench_kernel.py

@@ -12,6 +12,10 @@ Two cooperating pieces run on every node:
   are gossiped to the whole group via the serf query mechanism, and every
   member's answer returns directly to this node, which filters matches and
   replies to the FOCUS server.
+
+The p2p agents of one group share one
+:class:`~repro.gossip.membership.NodeDirectory` per simulation
+(:func:`~repro.gossip.membership.group_directory`).
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from repro.core.config import FocusConfig
 from repro.core.groups import serf_address
 from repro.core.query import Query
 from repro.gossip.agent import SerfAgent
+from repro.gossip.membership import group_directory
 from repro.sim.loop import RepeatingTimer, Simulator
 from repro.sim.network import Network
 from repro.sim.process import Process
@@ -230,7 +235,10 @@ class NodeAgent(Process, RpcMixin):
         if fanout is not None and fanout != serf_config.gossip_fanout:
             # §XII: this group runs at its own fanout (time-sensitive apps).
             serf_config = replace(serf_config, gossip_fanout=int(fanout))
-        serf = SerfAgent(self.sim, self.network, self.node_id, address, self.region, serf_config)
+        serf = SerfAgent(
+            self.sim, self.network, self.node_id, address, self.region, serf_config,
+            directory=group_directory(self.sim, group),
+        )
         serf.on_query(GROUP_QUERY_EVENT, self._answer_group_query)
         serf.start()
         membership = GroupMembership(group, attribute, float(low), float(high), serf)
@@ -338,7 +346,7 @@ class NodeAgent(Process, RpcMixin):
                 self.network.endpoint(address).stop()  # type: ignore[attr-defined]
             serf = SerfAgent(
                 self.sim, self.network, self.node_id, address, self.region,
-                self.config.serf,
+                self.config.serf, directory=group_directory(self.sim, group),
             )
             serf.on_query(GROUP_QUERY_EVENT, self._answer_group_query)
             serf.start()

@@ -12,10 +12,16 @@ snapshots) are cached and invalidated only when membership actually changes,
 so a converged group pays O(1) per tick where the dict walk paid O(n).
 
 Node identity is interned once in a :class:`NodeDirectory` — the stable
-index allocator. Agents simulated in the same process can share one
-directory, which shares the name/address/region strings, the per-node wire
-sizes and the piggyback wire dicts across all views of the same node; a
-table constructed without a directory makes a private one.
+index allocator. Every agent of one gossip group in one simulation shares
+one directory (:func:`group_directory`), which shares the name/address/
+region strings, the per-node wire sizes and the piggyback wire dicts across
+all views of the same node; a table constructed without a directory makes a
+private one. Because a shared directory grows with the whole group, a slot
+may lie past the capacity of a table that has not seen that node yet: every
+read treats such a slot as unknown.
+
+A converged view is seeded in one numpy pass (:meth:`MembershipTable.seed_alive`)
+rather than one ``upsert`` per member.
 
 Semantics are pinned to ``MemberList`` two ways: Hypothesis property tests
 drive both through random join/suspect/refute/fault sequences
@@ -88,7 +94,9 @@ class NodeDirectory:
     every agent's view of it — name, address, region, estimated wire size,
     and the piggyback wire dicts for each ``(incarnation, state)`` the node
     has been seen in — so a 6400-agent simulation stores each of these once
-    instead of once per agent.
+    instead of once per agent. FOCUS deployments keep one directory per
+    Serf group (:func:`group_directory`): a node's gossip address is
+    group-specific, so the group is the widest scope whose identities agree.
     """
 
     def __init__(self) -> None:
@@ -183,6 +191,12 @@ class NodeDirectory:
             }
             cache[(incarnation, code)] = wire
         return wire
+
+
+def group_directory(sim, group: str) -> NodeDirectory:
+    """The one :class:`NodeDirectory` shared by every agent of ``group``
+    simulated in ``sim``."""
+    return sim.shared(("gossip.directory", group), NodeDirectory)
 
 
 class MembershipTable:
@@ -336,7 +350,7 @@ class MembershipTable:
     # ------------------------------------------------------------- dict-like
     def __contains__(self, name: str) -> bool:
         slot = self.directory.slot_of(name)
-        return slot is not None and bool(self._known[slot])
+        return slot is not None and slot < len(self._known) and bool(self._known[slot])
 
     def __len__(self) -> int:
         return self._count
@@ -399,6 +413,40 @@ class MembershipTable:
             member.state_time,
         )
         self._absorb_pending_deadline(member.name, slot)
+
+    def seed_alive(self, slots: Sequence[int], state_time: float) -> None:
+        """Mark every slot in ``slots`` alive at incarnation 0, in one pass.
+
+        Equivalent to ``upsert``-ing an alive ``Member`` per slot in order,
+        skipping this table's own node: unknown slots are appended to the
+        insertion order, known ones are overwritten in place. The caller
+        interns the nodes in :attr:`directory` first and passes each slot
+        once.
+        """
+        slots = np.asarray(slots, dtype=np.int64)
+        self_slot = self.directory.slot_of(self.self_name)
+        if self_slot is not None:
+            slots = slots[slots != self_slot]
+        if not len(slots):
+            return
+        self._grow(int(slots.max()))
+        known = self._known[slots]
+        was_alive = int((known & (self._state[slots] == CODE_ALIVE)).sum())
+        self._state[slots] = CODE_ALIVE
+        self._inc[slots] = 0
+        self._state_time[slots] = state_time
+        new = slots[~known]
+        if len(new):
+            self._known[new] = True
+            self._pos[new] = np.arange(len(self._order), len(self._order) + len(new))
+            self._order.frombytes(new.tobytes())
+            self._count += len(new)
+        self._alive_count += len(slots) - was_alive
+        self._invalidate(alive_changed=True)
+        if self._pending_deadline:
+            names = self.directory.names
+            for slot in slots.tolist():
+                self._absorb_pending_deadline(names[slot], slot)
 
     def _absorb_pending_deadline(self, name: str, slot: int) -> None:
         if self._pending_deadline:
@@ -619,8 +667,10 @@ class MembershipTable:
         slots = np.fromiter(
             (slot_of.get(name, -1) for name in names), np.int64, count=n
         )
+        # A shared directory can hold slots past this table's capacity:
+        # those nodes are unknown here, not the last row's.
         bounded = np.clip(slots, 0, len(self._known) - 1)
-        known = (slots >= 0) & self._known[bounded]
+        known = (slots >= 0) & (slots < len(self._known)) & self._known[bounded]
         prev_inc = self._inc[bounded]
         prev_rank = _RANK_BY_CODE[self._state[bounded]]
         rank = _RANK_BY_CODE[codes]
@@ -675,11 +725,10 @@ class MembershipTable:
         if rid is None:
             mask[:] = False
             return mask
-        ids = np.fromiter(
-            self.directory.region_ids, dtype=np.int64, count=len(self.directory)
-        )
-        mask[: len(ids)] &= ids == rid
-        mask[len(ids):] = False
+        count = min(len(mask), len(self.directory))
+        ids = np.fromiter(self.directory.region_ids, dtype=np.int64, count=count)
+        mask[:count] &= ids == rid
+        mask[count:] = False
         return mask
 
     def region_alive_counts(self) -> Dict[str, int]:

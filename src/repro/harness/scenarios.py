@@ -15,7 +15,10 @@ Two bring-up modes:
   and serf member lists are pre-seeded to the converged state, modelling a
   long-running deployment without paying the bring-up cost. Steady-state
   behaviour (probing, reports, queries, moves) is identical from t=0. Large
-  benchmark sweeps use this.
+  benchmark sweeps use this. The seed costs one intern per group member in
+  the group's shared node directory plus one numpy
+  :meth:`~repro.gossip.membership.MembershipTable.seed_alive` per member
+  table, not one ``upsert`` per (agent, peer) pair.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from repro.core.groups import serf_address
 from repro.core.rest import Application
 from repro.core.service import FocusService
 from repro.core.shardplane import ShardPlane, build_shard_plane
-from repro.gossip.member import Member, MemberState
+from repro.gossip.membership import group_directory
 from repro.sim.loop import Simulator
 from repro.sim.network import Network
 from repro.sim.topology import Topology
@@ -284,32 +287,20 @@ def _warm_start(scenario: FocusScenario) -> None:
             agent._join_group(suggestion)
     # Seed every serf agent's member list with its full group and promote
     # the DGM's pending entries to confirmed members.
+    agents = {agent.node_id: agent for agent in scenario.agents}
     for service in services:
         for group in service.dgm.groups.all_groups():
             node_ids = group.all_node_ids()
-            regions = {}
-            for agent in scenario.agents:
-                if agent.node_id in group.pending or agent.node_id in group.members:
-                    regions[agent.node_id] = agent.region
-            for agent in scenario.agents:
-                membership = next(
-                    (m for m in agent.memberships.values() if m.group == group.name),
-                    None,
-                )
-                if membership is None:
-                    continue
-                for node_id in node_ids:
-                    if node_id == agent.node_id:
-                        continue
-                    membership.serf.members.upsert(
-                        Member(
-                            node_id,
-                            serf_address(node_id, group.name),
-                            regions.get(node_id, agent.region),
-                            incarnation=0,
-                            state=MemberState.ALIVE,
-                            state_time=sim.now,
-                        )
-                    )
+            # Every member was registered above: a missing agent is a bug.
+            regions = {node_id: agents[node_id].region for node_id in node_ids}
+            directory = group_directory(sim, group.name)
+            slots = [
+                directory.intern(node_id, serf_address(node_id, group.name), region)
+                for node_id, region in regions.items()
+            ]
+            for node_id in node_ids:
+                membership = agents[node_id].memberships.get(group.attribute)
+                if membership is not None and membership.group == group.name:
+                    membership.serf.members.seed_alive(slots, sim.now)
             group.record_report(node_ids, regions, sim.now)
         service.dgm.transitions.clear()

@@ -47,7 +47,7 @@ import hashlib
 import math
 import random
 from heapq import heappop, heappush, heapreplace
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Hashable, Optional, Tuple, TypeVar
 
 from repro.errors import SimulationError
 from repro.sim.events import (
@@ -60,6 +60,8 @@ from repro.sim.events import (
 
 #: Valid determinism profiles; see the module docstring.
 PROFILES = ("v1", "v2")
+
+T = TypeVar("T")
 
 #: Default GC thresholds applied by :meth:`Simulator.freeze_hot_state` under
 #: profile v2 when the constructor got no explicit ``gc_thresholds``: a much
@@ -188,6 +190,20 @@ class Simulator:
         #: +inf outside one. Batch executors (the network's delivery classes)
         #: consult it so a flush never runs past the caller's stop time.
         self._run_bound = math.inf
+        self._shared: Dict[Hashable, object] = {}
+
+    def shared(self, key: Hashable, factory: Callable[[], T]) -> T:
+        """The one object this simulation holds under ``key``.
+
+        ``factory()`` builds it on first request. Components simulated side
+        by side share state through it (e.g. one node directory per gossip
+        group) instead of a module-level registry, which would leak between
+        simulations in one process.
+        """
+        obj = self._shared.get(key)
+        if obj is None:
+            obj = self._shared[key] = factory()
+        return obj  # type: ignore[return-value]
 
     # ------------------------------------------------------------------ time
     @property

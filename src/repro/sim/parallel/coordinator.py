@@ -227,7 +227,9 @@ class ParallelSimulation:
             if conn.poll(_POLL_INTERVAL):
                 try:
                     reply = conn.recv()
-                except EOFError:
+                except (EOFError, OSError):
+                    # A worker that exits with our command still unread in
+                    # its socket resets the connection instead of closing it.
                     self._worker_failed(index, process, "closed its pipe")
                 if reply[0] == "error":
                     raise SimulationError(

@@ -32,7 +32,6 @@ from typing import Dict, List, Optional, Tuple
 from repro.faults.engine import ChaosEngine
 from repro.faults.plan import FaultPlan, PartitionRegions
 from repro.gossip.agent import SerfAgent, SerfConfig
-from repro.gossip.member import Member, MemberState
 from repro.gossip.membership import NodeDirectory
 from repro.gossip.probe import RegionProbeBatcher
 from repro.sim.loop import Simulator
@@ -77,11 +76,6 @@ def _build_shard(
     address_regions = {
         f"a{i}": regions[i % len(regions)] for i in range(nodes)
     }
-    members = [
-        Member(f"n{i}", f"a{i}", regions[i % len(regions)],
-               incarnation=0, state=MemberState.ALIVE, state_time=0.0)
-        for i in range(nodes)
-    ]
     agents: List[SerfAgent] = []
     local_index: Dict[int, SerfAgent] = {}
     for i in range(nodes):
@@ -94,10 +88,14 @@ def _build_shard(
         )
         agents.append(agent)
         local_index[i] = agent
+    # Full-mesh pre-seed: intern the population once, then one bulk seed
+    # per agent (each table skips its own node).
+    slots = [
+        directory.intern(f"n{i}", f"a{i}", regions[i % len(regions)])
+        for i in range(nodes)
+    ]
     for agent in agents:
-        for member in members:
-            if member.address != agent.address:
-                agent.members.upsert(member)
+        agent.members.seed_alive(slots, 0.0)
     completions: Dict[int, int] = {}
     for agent in agents:
         agent.on_query(
