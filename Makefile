@@ -1,7 +1,9 @@
 # Developer entry points. `make check` is what CI runs: lint (when ruff is
 # installed), the tier-1 suite, the scheduler-equivalence gate (calendar
-# queue + timer wheel + auto backend must be bit-identical to the reference
-# heap), and the benchmark regression gate (a quick kernel-bench smoke pass
+# queue + timer wheel, vectorized membership and batched delivery must be
+# bit-identical to their oracles in tests/oracles.py: plain heap,
+# self-scheduling timers, dict membership, direct delivery), and the
+# benchmark regression gate (a quick kernel-bench smoke pass
 # — which re-verifies the hot-path speedups, the membership-backend
 # equivalence checksum, and the seeded-run determinism checksums for both
 # the v1 and v2 profiles plus the v2 swim_full floor — compared against the
@@ -27,14 +29,17 @@ lint:
 		echo "lint: ruff not installed, skipping (pip install ruff)"; \
 	fi
 
-# Also part of `test`; kept as a named gate so scheduler changes can be
-# validated in isolation (and so CI logs show the equivalence pass by name).
+# Also part of `test`; kept as a named gate so kernel changes can be
+# validated against the oracles in isolation (and so CI logs show the
+# equivalence pass by name): scheduler, membership and delivery suites.
 scheduler-equivalence:
-	$(PYTHON) -m pytest tests/test_sim_scheduler.py -q
+	$(PYTHON) -m pytest tests/test_sim_scheduler.py \
+		tests/test_gossip_membership.py tests/test_sim_network_batching.py \
+		tests/test_profile_v2.py -q
 
 # Cross-simulation isolation: two seeded sims in one process must checksum
 # identically in both run orders (no interpreter-global mutable state), and
-# run_until's inclusive-bound rule must hold on every scheduler backend.
+# run_until's inclusive-bound rule must hold on the queue and its heap oracle.
 # Part of `test` too; named so the sweep is visible in CI logs.
 global-state-gate:
 	$(PYTHON) -m pytest tests/test_global_state.py \

@@ -15,7 +15,7 @@ shape points.
 import pytest
 
 from repro.mq import Broker, Consumer, Producer
-from repro.sim import Network, Simulator
+from repro.sim import Histogram, Network, Simulator
 
 PRODUCER_COUNTS = (1000, 2000, 4000, 6000, 8000)
 NUM_QUEUES = 100
@@ -40,16 +40,12 @@ def run_point(num_producers: int) -> dict:
             rate=5.0, message_size=1024,
         ).start()
     sim.run_until(WARMUP + MEASURE)
-    latencies = [
-        value
-        for consumer in consumers
-        for value in consumer.latency._values
-    ]
-    latencies.sort()
-    p50 = latencies[len(latencies) // 2] if latencies else float("inf")
+    pooled = Histogram("fig3.latency", streaming=True)
+    for consumer in consumers:
+        pooled.merge(consumer.latency)
     return {
         "producers": num_producers,
-        "latency_p50_ms": p50 * 1000.0,
+        "latency_p50_ms": pooled.percentile(50) * 1000.0,
         "cpu": broker.utilization_over(WARMUP, WARMUP + MEASURE),
         "backlog_s": broker.backlog_seconds,
         "dropped": broker.messages_dropped,

@@ -6,7 +6,10 @@ and the metrics window queries that every figure's measurement code leans
 on. For each optimized path it also times a **naive reference** — a faithful
 copy of the pre-optimization implementation (linear scans, per-recipient
 ``approx_size``, re-sorting histograms) — so the speedup stays visible and
-regressions are measurable long after the old code is gone.
+regressions are measurable long after the old code is gone. The kernel's
+naive arms (heap scheduler, self-scheduling timers, dict membership, direct
+delivery) are the test oracles in ``tests/oracles.py``, swapped in by
+patching the module-level names the simulator and agents construct.
 
 Run from the repo root::
 
@@ -27,7 +30,11 @@ import os
 import platform
 import sys
 import time
+from contextlib import ExitStack
 from typing import Callable, Dict, List, Tuple
+
+# The naive arms come from the test oracles, imported as ``tests.oracles``.
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 from repro.gossip.agent import SerfAgent, SerfConfig
 from repro.gossip.member import Member, MemberState
@@ -35,6 +42,8 @@ from repro.gossip.membership import NodeDirectory
 from repro.gossip.probe import RegionProbeBatcher
 from repro.gossip.swim import SwimAgent, SwimConfig
 from repro.sim import Network, Simulator, Topology
+from repro.sim.events import EventQueue
+from repro.sim.loop import RepeatingTimer
 from repro.sim.metrics import BandwidthMeter, Histogram, TimeSeries
 from repro.sim.network import SizedPayload
 from repro.sim.parallel.workload import (
@@ -42,6 +51,24 @@ from repro.sim.parallel.workload import (
     run_serial,
     summary_checksum,
 )
+from tests.oracles import (
+    HeapEventQueue,
+    MemberList,
+    SelfSchedulingTimer,
+    assert_direct_only,
+    direct_delivery,
+    heap_scheduler,
+    member_lists,
+    self_scheduling_timers,
+)
+
+
+def naive_simulator(naive: bool, seed: int) -> Simulator:
+    """A simulator on the heap oracle (``naive``) or the default queue."""
+    with heap_scheduler() if naive else ExitStack():
+        sim = Simulator(seed=seed)
+    assert type(sim._queue) is (HeapEventQueue if naive else EventQueue)
+    return sim
 
 
 # --------------------------------------------------------------------- timing
@@ -105,7 +132,7 @@ def bench_metrics_windows(quick: bool) -> Dict[str, object]:
     meter = BandwidthMeter("bench")
     for i in range(num_events):
         t = i * 0.001
-        meter.on_send(t, 100 + i % 400)
+        meter.on_send_many(t, 100 + i % 400, 1)
         meter.on_receive(t, 60)
     event_lists = [meter.sent_events(), meter.received_events()]
     horizon = num_events * 0.001
@@ -271,27 +298,28 @@ PR1_EVENT_LOOP_BASELINE = 273_782.05
 
 
 def _timer_density_run(
-    scheduler: str, coalesce: bool, nodes: int, duration: float
+    naive: bool, nodes: int, duration: float
 ) -> Tuple[int, float]:
     """One SWIM-density timer storm: every node runs a 1 s probe timer and a
     100 ms gossip timer (the paper's node-agent cadence), with per-timer
-    jitter. Returns (events_processed, elapsed_seconds) for the run itself;
-    timer registration happens outside the timed region."""
-    from repro.sim.loop import RepeatingTimer
-
-    sim = Simulator(seed=7, scheduler=scheduler, coalesce_timers=coalesce)
+    jitter. ``naive`` runs the heap and self-scheduling timer oracles.
+    Returns (events_processed, elapsed_seconds) for the run itself; timer
+    registration happens outside the timed region."""
+    sim = naive_simulator(naive, seed=7)
+    timer_cls = SelfSchedulingTimer if naive else RepeatingTimer
     counts = [0]
 
     def tick() -> None:
         counts[0] += 1
 
     for i in range(nodes):
-        RepeatingTimer(sim, 1.0, tick, 0.1, sim.rng).start(
+        timer_cls(sim, 1.0, tick, 0.1, sim.rng).start(
             start_delay=(i % 10) * 0.01
         )
-        RepeatingTimer(sim, 0.1, tick, 0.01, sim.rng).start(
+        timer_cls(sim, 0.1, tick, 0.01, sim.rng).start(
             start_delay=(i % 7) * 0.005
         )
+    assert (sim._wheel.class_count() == 0) == naive
     start = time.perf_counter()
     sim.run_until(duration)
     elapsed = time.perf_counter() - start
@@ -321,10 +349,10 @@ def bench_event_loop(quick: bool) -> Dict[str, object]:
     runs = 1 if quick else 3
 
     naive_events, naive = _best_rate(
-        runs, lambda: _timer_density_run("heap", False, nodes, duration)
+        runs, lambda: _timer_density_run(True, nodes, duration)
     )
     optimized_events, optimized = _best_rate(
-        runs, lambda: _timer_density_run("calendar", True, nodes, duration)
+        runs, lambda: _timer_density_run(False, nodes, duration)
     )
     assert naive_events == optimized_events, (
         f"scheduler equivalence broken: {naive_events} != {optimized_events}"
@@ -347,8 +375,8 @@ def bench_timer_storm(quick: bool) -> Dict[str, object]:
     nodes = 200 if quick else 800
     rounds = 10 if quick else 20
 
-    def run(scheduler: str, coalesce: bool) -> Tuple[int, float]:
-        sim = Simulator(seed=11, scheduler=scheduler, coalesce_timers=coalesce)
+    def run(naive: bool) -> Tuple[int, float]:
+        sim = naive_simulator(naive, seed=11)
         timers = {}
 
         def tick() -> None:
@@ -368,17 +396,19 @@ def bench_timer_storm(quick: bool) -> Dict[str, object]:
                 if i % 4:
                     sim.schedule(0.1, handle.cancel)
 
-        for i in range(nodes):
-            timers[i] = sim.call_every(0.1, tick, jitter=0.01)
-        for r in range(rounds):
-            sim.schedule_at(r * 1.0 + 0.5, churn, r)
-        start = time.perf_counter()
-        sim.run_until(rounds * 1.0)
+        with self_scheduling_timers() if naive else ExitStack():
+            for i in range(nodes):
+                timers[i] = sim.call_every(0.1, tick, jitter=0.01)
+            for r in range(rounds):
+                sim.schedule_at(r * 1.0 + 0.5, churn, r)
+            assert isinstance(timers[0], SelfSchedulingTimer) == naive
+            start = time.perf_counter()
+            sim.run_until(rounds * 1.0)
         return sim.events_processed, time.perf_counter() - start
 
     runs = 1 if quick else 3
-    naive_events, naive = _best_rate(runs, lambda: run("heap", False))
-    optimized_events, optimized = _best_rate(runs, lambda: run("calendar", True))
+    naive_events, naive = _best_rate(runs, lambda: run(True))
+    optimized_events, optimized = _best_rate(runs, lambda: run(False))
     assert naive_events == optimized_events, (
         f"scheduler equivalence broken: {naive_events} != {optimized_events}"
     )
@@ -406,7 +436,7 @@ def _swim_full_run(
     duration: float,
     membership: str,
     batched: bool,
-    delivery_batching: bool = True,
+    direct: bool = False,
     profile: str = "v1",
     gc_stats: Dict[str, object] = None,
 ) -> Tuple[int, float, str]:
@@ -422,6 +452,10 @@ def _swim_full_run(
     counts, query completions, metrics counters, and one agent's bandwidth
     meter, and must be identical across membership backends.
 
+    ``membership="dict"`` runs the :class:`MemberList` oracle in place of the
+    membership table; ``direct=True`` pins every delivery to a direct
+    per-message post instead of the in-flight heap.
+
     ``profile="v2"`` runs the fast determinism profile: the warm population
     is GC-frozen before the timed region (and unfrozen after, so back-to-back
     runs in one process don't pin each other's garbage), and the freeze
@@ -430,18 +464,21 @@ def _swim_full_run(
     """
     sim = Simulator(seed=13, profile=profile)
     topology = Topology()
-    network = Network(sim, topology, delivery_batching=delivery_batching)
+    with direct_delivery() if direct else ExitStack():
+        network = Network(sim, topology)
     regions = [r.name for r in topology.regions]
     config = SerfConfig(sync_interval=30.0)
     directory = NodeDirectory() if membership == "table" else None
     batcher = RegionProbeBatcher(sim, config.probe_interval) if batched else None
     agents = []
-    for i in range(nodes):
-        agent = SerfAgent(
-            sim, network, f"n{i}", f"a{i}", regions[i % len(regions)], config,
-            membership=membership, directory=directory, probe_batcher=batcher,
-        )
-        agents.append(agent)
+    with member_lists() if membership == "dict" else ExitStack():
+        for i in range(nodes):
+            agent = SerfAgent(
+                sim, network, f"n{i}", f"a{i}", regions[i % len(regions)],
+                config, directory=directory, probe_batcher=batcher,
+            )
+            agents.append(agent)
+    assert isinstance(agents[0].members, MemberList) == (membership == "dict")
     for agent in agents:
         for other in agents:
             if other is not agent:
@@ -472,6 +509,8 @@ def _swim_full_run(
     start = time.perf_counter()
     sim.run_until(duration)
     elapsed = time.perf_counter() - start
+    if direct:
+        assert_direct_only(network)
     if profile == "v2":
         freeze_info["stats_post_run"] = gc.get_stats()
         sim.unfreeze_hot_state()
@@ -549,7 +588,8 @@ SWIM_FULL_V2_6400_MIN_SPEEDUP = 1.15
 
 def bench_net_delivery(quick: bool) -> Dict[str, object]:
     """Full-protocol A/B of the network delivery path: one queue event per
-    in-flight message (the reference, ``delivery_batching=False``) against
+    in-flight message (the reference, every delivery pinned to a direct
+    post) against
     the shared in-flight heap with one coalesced sentinel aimed at the
     earliest arrival. Delivery keys are allocated at send time from the
     queue's global sequence, so both arms must produce the same checksum —
@@ -558,7 +598,7 @@ def bench_net_delivery(quick: bool) -> Dict[str, object]:
     nodes = 400 if quick else 1600
     duration = 3.0
     naive_events, naive_elapsed, naive_ck = _swim_full_run(
-        nodes, duration, "table", True, delivery_batching=False
+        nodes, duration, "table", True, direct=True
     )
     opt_events, opt_elapsed, opt_ck = _swim_full_run(
         nodes, duration, "table", True
@@ -589,7 +629,7 @@ def bench_scale_sweep(quick: bool) -> Dict[str, object]:
     timer_points = {}
     for nodes in timer_sizes:
         events, rate = _best_rate(
-            1, lambda: _timer_density_run("calendar", True, nodes, timer_duration)
+            1, lambda: _timer_density_run(False, nodes, timer_duration)
         )
         timer_points[str(nodes)] = {
             "events": events,

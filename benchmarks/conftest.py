@@ -15,6 +15,10 @@ Run with:  pytest benchmarks/ --benchmark-only
 
 from __future__ import annotations
 
+import math
+import numbers
+from typing import Iterable, Sequence
+
 import pytest
 
 from repro.harness.comparison import (
@@ -24,7 +28,30 @@ from repro.harness.comparison import (
     measure_bandwidth,
 )
 
-__all__ = ["BENCH_SEED", "bench_queries", "build_finder", "measure_bandwidth"]
+__all__ = [
+    "BENCH_SEED",
+    "bench_queries",
+    "build_finder",
+    "check_finite_rows",
+    "measure_bandwidth",
+]
+
+
+def check_finite_rows(
+    title: str, headers: Sequence[str], rows: Iterable[Sequence[object]]
+) -> None:
+    """Raise ``ValueError`` on any ``inf`` or NaN numeric cell.
+
+    A non-finite number in a published row means the measurement behind it
+    failed (an empty sample, a division by zero); it must fail the bench
+    rather than land in a table.
+    """
+    for index, row in enumerate(rows):
+        for header, cell in zip(headers, row):
+            if isinstance(cell, numbers.Real) and not math.isfinite(cell):
+                raise ValueError(
+                    f"{title}: row {index} has non-finite {header!r} = {cell}"
+                )
 
 
 @pytest.fixture
@@ -34,6 +61,8 @@ def record_rows(benchmark):
     def store(title: str, headers, rows) -> None:
         from repro.harness.report import print_table
 
+        rows = [tuple(row) for row in rows]
+        check_finite_rows(title, headers, rows)
         print_table(title, headers, rows)
         benchmark.extra_info.setdefault("tables", []).append(
             {"title": title, "headers": list(headers),

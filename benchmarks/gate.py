@@ -64,11 +64,6 @@ SPEEDUP_FLOOR_FRACTION = 0.10
 #: band is not applied below it.
 SPEEDUP_NOISE_CEILING = 2.0
 
-#: Fallback speedup floor for the region-sharded parallel kernel's
-#: full-mode A/B point; normally the floor recorded in the report itself
-#: (``min_speedup``, set by bench_kernel.py) is used.
-PARALLEL_MIN_SPEEDUP = 1.8
-
 #: The committed full-mode shard sweep must show at least this much
 #: aggregate query throughput at 8 shards relative to 1 shard.
 SHARDS_SCALEOUT_FLOOR = 3.0
@@ -264,7 +259,15 @@ def check(
                     f"region-sharded kernel diverged"
                 )
                 continue
-            floor = sub.get("min_speedup", PARALLEL_MIN_SPEEDUP)
+            # The floor is defined once, in bench_kernel.py, and travels
+            # with the point; a point without one cannot be judged.
+            floor = sub.get("min_speedup")
+            if floor is None:
+                failures.append(
+                    f"{side} swim_full_parallel{name}: the point carries no "
+                    f"min_speedup floor"
+                )
+                continue
             if (not report.get("quick") and sub.get("enforced")
                     and sub["speedup"] < floor):
                 failures.append(

@@ -92,7 +92,6 @@ class SerfAgent(SwimAgent):
         region: str,
         config: Optional[SerfConfig] = None,
         *,
-        membership: str = "table",
         directory: Optional[NodeDirectory] = None,
         probe_batcher: Optional[RegionProbeBatcher] = None,
     ) -> None:
@@ -103,7 +102,6 @@ class SerfAgent(SwimAgent):
             address,
             region,
             config or SerfConfig(),
-            membership=membership,
             directory=directory,
             probe_batcher=probe_batcher,
         )

@@ -1,8 +1,7 @@
 """Vectorized SWIM membership bookkeeping.
 
-:class:`MembershipTable` is a drop-in replacement for
-:class:`~repro.gossip.member.MemberList` that keeps the per-member protocol
-state — alive/suspect/faulty status, incarnation numbers, suspicion
+:class:`MembershipTable` is an agent's local view of its group. It keeps the
+per-member protocol state — alive/suspect/faulty status, incarnation numbers, suspicion
 deadlines — in numpy arrays keyed by a **stable node index** instead of a
 dict of :class:`~repro.gossip.member.Member` objects. Status filtering,
 suspicion expiry, dead-member reclamation and stale-update rejection become
@@ -23,11 +22,11 @@ read treats such a slot as unknown.
 A converged view is seeded in one numpy pass (:meth:`MembershipTable.seed_alive`)
 rather than one ``upsert`` per member.
 
-Semantics are pinned to ``MemberList`` two ways: Hypothesis property tests
-drive both through random join/suspect/refute/fault sequences
-(``tests/test_gossip_membership.py``), and a seeded full-protocol SWIM run
-must be bit-identical — same event order, same RNG draws, same metrics —
-under either backend (``tests/test_gossip_swim.py``).
+Semantics are pinned to a dict-of-records oracle (``MemberList`` in
+``tests/oracles.py``) two ways: Hypothesis property tests drive both through
+random join/suspect/refute/fault sequences, and a seeded full-protocol SWIM
+run must be bit-identical — same event order, same RNG draws, same metrics —
+under either (both in ``tests/test_gossip_membership.py``).
 """
 
 from __future__ import annotations
@@ -68,7 +67,7 @@ _NEVER = np.inf
 class _SlotAddresses(SequenceABC):
     """Virtual sequence: addresses of the slots in an index array.
 
-    Duck-types as the address list ``MemberList`` hands to ``rng.sample`` /
+    Duck-types as a list of peer addresses for ``rng.sample`` /
     ``rng.choice`` without materializing a per-agent list — the RNG draw
     sequence depends only on ``len()``, which matches by construction, and
     ``sample``/``choice`` touch only the few selected indices.
@@ -202,9 +201,9 @@ def group_directory(sim, group: str) -> NodeDirectory:
 class MembershipTable:
     """One agent's membership view, vectorized.
 
-    API-compatible with :class:`~repro.gossip.member.MemberList` (``get`` /
-    ``apply`` / ``upsert`` / ``alive`` / snapshots / the selection helpers),
-    with the record state held in numpy arrays indexed by the shared
+    A dict-like record API (``get`` / ``apply`` / ``upsert`` / ``alive`` /
+    snapshots / the selection helpers) with the record state held in numpy
+    arrays indexed by the shared
     :class:`NodeDirectory` slot. :class:`Member` objects are materialized
     on demand as *views* — nothing retains them, so an N-agent full-mesh
     simulation holds N arrays instead of N^2 member objects.
@@ -212,8 +211,9 @@ class MembershipTable:
     Ordering contract (load-bearing for seeded-run equivalence): every list
     this table returns — alive members, probe-target names, gossip/sync/relay
     addresses, snapshots — is in *insertion order*, exactly like iterating
-    ``MemberList``'s underlying dict. Removal followed by re-insertion moves
-    a node to the end, like a dict re-insert.
+    a dict of records (the ``MemberList`` oracle in ``tests/oracles.py``).
+    Removal followed by re-insertion moves a node to the end, like a dict
+    re-insert.
     """
 
     def __init__(
@@ -239,8 +239,8 @@ class MembershipTable:
         self._count = 0
         self._alive_count = 0
         self._self_slot = -1
-        # Deadlines set for names with no live record yet; MemberList keeps
-        # these in a name-keyed dict, so they must survive until insertion.
+        # Deadlines set for names with no live record yet; a name-keyed dict
+        # would keep them, so they must survive until insertion.
         self._pending_deadline: Dict[str, float] = {}
         # Lazily rebuilt views; None means dirty. The base view is the
         # int64 array of alive slots; the name/address lists derive from it
@@ -472,7 +472,7 @@ class MembershipTable:
         """Apply ``update`` if it supersedes the current record.
 
         Returns True if the view changed (the caller should re-broadcast).
-        Same ordering rules as :meth:`MemberList.apply`.
+        Ordering rules: :func:`~repro.gossip.member.supersedes`.
         """
         directory = self.directory
         slot = directory.slot_of(update.name)
@@ -513,34 +513,21 @@ class MembershipTable:
         arr = self._alive_excl_arr() if exclude_self else self._alive_arr()
         return self._take_names(arr)
 
-    def permuted_alive_names(
-        self, np_rng, *, exclude_self: bool = False
-    ) -> List[str]:
-        """Alive names in a random order drawn from a numpy ``Generator``.
-
-        The v2-profile twin of ``alive_names`` + Fisher–Yates: one
-        ``Generator.permutation`` over the slot array replaces the
-        per-element Python shuffle loop, turning the probe-order reshuffle
-        from O(n) interpreter iterations into one vectorized draw. The
-        resulting order is a different (but still seed-deterministic) stream
-        than the v1 shuffle — which is exactly what the v2 checksum admits.
-        """
-        arr = self._alive_excl_arr() if exclude_self else self._alive_arr()
-        if len(arr) < 2:
-            return self._take_names(arr)
-        return self._take_names(arr[np_rng.permutation(len(arr))])
-
     def permuted_alive_slots(
         self, np_rng, *, exclude_self: bool = False
     ) -> np.ndarray:
-        """Slot-array twin of :meth:`permuted_alive_names` (same RNG draws).
+        """Alive slots in a random order drawn from a numpy ``Generator``.
 
-        Returning slots instead of materialized name lists keeps the
-        per-agent probe order in an untracked numpy buffer: at 6400 nodes
-        the name-list version put ~41M GC-tracked pointers back on the heap
-        (one 6399-entry list per agent, built *after* the v2 warmup freeze),
-        which every gen2 pass then rescanned. Names are resolved lazily, one
-        probe target at a time, via :meth:`next_alive_in_order`.
+        The v2-profile replacement for ``alive_names`` + Fisher–Yates: one
+        ``Generator.permutation`` over the slot array instead of a per-element
+        Python shuffle loop. The order is a different (but still
+        seed-deterministic) stream than the v1 shuffle, which is exactly what
+        the v2 checksum admits. Returning slots instead of materialized name
+        lists keeps the per-agent probe order in an untracked numpy buffer:
+        at 6400 nodes name lists put ~41M GC-tracked pointers back on the
+        heap (one 6399-entry list per agent, built *after* the v2 warmup
+        freeze), which every gen2 pass then rescanned. Names are resolved
+        lazily, one probe target at a time, via :meth:`next_alive_in_order`.
         """
         arr = self._alive_excl_arr() if exclude_self else self._alive_arr()
         if len(arr) < 2:
@@ -553,9 +540,8 @@ class MembershipTable:
         """Walk ``order`` (a slot array) from ``start`` to the next alive
         member; returns ``(next_index, name-or-None)``.
 
-        The skip condition (``known`` and currently alive) is exactly the
-        ``peek(name)``-based filter of the name-list walk, so the sequence of
-        probed names is identical to walking the materialized list.
+        The skip condition (``known`` and currently alive) is the same
+        ``peek(name)``-based filter the v1 name-list walk applies.
         """
         state = self._state
         known = self._known
@@ -580,7 +566,7 @@ class MembershipTable:
         """Addresses of up to ``max_fanout`` random alive peers.
 
         Exactly one ``rng.sample`` draw over the insertion-ordered alive
-        view, matching ``MemberList.gossip_targets`` draw for draw.
+        view, so a dict-of-records view draws identically.
         """
         arr = self._alive_excl_arr()
         count = len(arr)
@@ -599,8 +585,7 @@ class MembershipTable:
         of batched ``Generator.integers`` draws, amortizing the generator
         call over ~1k ticks. The draw sequence is a pure function of the
         generator state and the alive-count history, so the result stays
-        deterministic and backend-independent (the MemberList twin runs the
-        identical algorithm over the same insertion order).
+        deterministic.
         """
         arr = self._alive_excl_arr()
         count = len(arr)

@@ -14,8 +14,9 @@ Because the sentinel always adopts the head member's exact key and seq
 allocation order is preserved, interleaving across regions — and with every
 other event in the simulation — is *bit-identical* to per-agent
 ``RepeatingTimer`` scheduling (through the :class:`~repro.sim.loop.TimerWheel`
-or not): same event order, same RNG draws, same ``events_processed``. This is
-asserted by the seeded equivalence tests in ``tests/test_gossip_swim.py`` and
+or the self-scheduling oracle in ``tests/oracles.py``): same event order,
+same RNG draws, same ``events_processed``. This is asserted by the seeded
+equivalence tests in ``tests/test_gossip_membership.py`` and
 exercised at scale by ``bench_kernel.py swim_full``.
 
 The paper's probe parameters (fanout 4, 100 ms gossip, 1 s probe period,
@@ -227,8 +228,8 @@ class RegionProbeBatcher:
         index = cls.target_index
         timer = cls.timers[index]
         time = cls.due[index]
-        # Re-arm before the callback, exactly like RepeatingTimer._fire: the
-        # jitter draw and seq allocation happen at the same moments they
+        # Re-arm before the callback, exactly like a self-scheduling timer:
+        # the jitter draw and seq allocation happen at the same moments they
         # would under per-timer scheduling.
         jitter = timer._jitter
         if jitter > 0.0:

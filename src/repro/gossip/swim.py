@@ -17,17 +17,15 @@ idle group's background traffic is the probe traffic — which is what Fig. 8b
 of the paper measures as "normal operation" (<2 KB/s even for 400-member
 groups).
 
-Membership bookkeeping is pluggable (``membership=`` constructor knob):
-``"table"`` (default) stores the view in the vectorized
-:class:`~repro.gossip.membership.MembershipTable`; ``"dict"`` keeps the
-original :class:`~repro.gossip.member.MemberList`, retained as the reference
-for equivalence tests and A/B benchmarks. The agent only touches membership
-through the backend-neutral selection API (``gossip_targets`` /
-``sync_peer`` / ``relay_sample`` / ``peek`` / snapshots), so both backends
-produce bit-identical runs for the same seed. Probe scheduling can likewise
-be handed to a shared :class:`~repro.gossip.probe.RegionProbeBatcher` via
-``probe_batcher=``, which coalesces a whole region's probe round into one
-recycled sentinel event without perturbing event order.
+Membership bookkeeping lives in the vectorized
+:class:`~repro.gossip.membership.MembershipTable`. The agent only touches it
+through a small selection API (``gossip_targets`` / ``sync_peer`` /
+``relay_sample`` / ``peek`` / snapshots), which a dict-of-records oracle in
+``tests/oracles.py`` also implements; seeded v1 runs are bit-identical under
+either. Probe scheduling can be handed to a shared
+:class:`~repro.gossip.probe.RegionProbeBatcher` via ``probe_batcher=``, which
+coalesces a whole region's probe round into one recycled sentinel event
+without perturbing event order.
 """
 
 from __future__ import annotations
@@ -44,7 +42,6 @@ from repro.gossip.member import (
     RANK_BY_VALUE,
     STATE_BY_VALUE,
     Member,
-    MemberList,
     MemberState,
 )
 from repro.gossip.membership import MembershipTable, NodeDirectory
@@ -141,22 +138,13 @@ class SwimAgent(Process):
         region: str,
         config: Optional[SwimConfig] = None,
         *,
-        membership: str = "table",
         directory: Optional[NodeDirectory] = None,
         probe_batcher: Optional[RegionProbeBatcher] = None,
     ) -> None:
         super().__init__(sim, network, address, region)
         self.name = name
         self.config = config or SwimConfig()
-        if membership == "table":
-            self.members = MembershipTable(name, directory)
-        elif membership == "dict":
-            self.members = MemberList(name)
-        else:
-            raise ValueError(
-                f"unknown membership backend {membership!r} "
-                "(expected 'table' or 'dict')"
-            )
+        self.members = MembershipTable(name, directory)
         self.incarnation = 0
         self.broadcasts = BroadcastQueue(self.config.retransmit_mult)
         self.on_member_alive: List[Callable[[Member], None]] = []
@@ -172,9 +160,9 @@ class SwimAgent(Process):
         self._seq = 0
         self._pending_probes: Dict[int, _PendingProbe] = {}
         self._relayed: Dict[int, _RelayedPing] = {}
-        self._probe_order: List[str] = []
-        # v2 + MembershipTable: the probe order is a numpy slot array (no
+        # v1 probe order: a shuffled name list. v2: a numpy slot array (no
         # GC-tracked name list); names resolve lazily per probe target.
+        self._probe_order: List[str] = []
         self._probe_order_slots = None
         self._probe_index = 0
         self._gossip_scheduled = False
@@ -230,20 +218,12 @@ class SwimAgent(Process):
             # v2: draw the first probe-order permutation now as well — it is
             # the single largest per-agent draw (O(population)) and would
             # otherwise land inside the measured region on the first probe
-            # tick. Both membership backends pre-draw through the same
-            # methods the first wrap would use, so the generator consumption
-            # stays twinned across backends.
-            members = self.members
-            if hasattr(members, "permuted_alive_slots"):
-                order = members.permuted_alive_slots(np_rng, exclude_self=True)
-                if len(order):
-                    self._probe_order_slots = order
-                    self._probe_index = 0
-            else:
-                names = members.permuted_alive_names(np_rng, exclude_self=True)
-                if names:
-                    self._probe_order = names
-                    self._probe_index = 0
+            # tick. It goes through the same method the first wrap would
+            # use, so the generator consumption is unchanged.
+            order = self.members.permuted_alive_slots(np_rng, exclude_self=True)
+            if len(order):
+                self._probe_order_slots = order
+                self._probe_index = 0
 
     def join(self, entry_points: List[str]) -> None:
         """Join via push-pull sync with the given entry addresses."""
@@ -380,29 +360,18 @@ class SwimAgent(Process):
 
     def _next_probe_target(self) -> Optional[str]:
         np_rng = self._np_rng
-        if np_rng is not None and hasattr(self.members, "permuted_alive_slots"):
+        if np_rng is not None:
             return self._next_probe_target_slots(np_rng)
         # The alive view is only materialized on wrap — a probe tick that is
         # mid-round walks the existing shuffled order without touching it.
         if self._probe_index >= len(self._probe_order):
-            if np_rng is not None:
-                # v2: one vectorized permutation draw replaces the
-                # per-element shuffle loop (the dominant cost of a wrap at
-                # thousands of members).
-                order = self.members.permuted_alive_names(
-                    np_rng, exclude_self=True
-                )
-                if not order:
-                    return None
-                self._probe_order = order
-            else:
-                # alive_names returns a fresh list on both implementations,
-                # so we can shuffle it in place without copying.
-                alive = self.members.alive_names(exclude_self=True)
-                if not alive:
-                    return None
-                self._probe_order = alive
-                _shuffle_exact(self._probe_order, self._rng.getrandbits)
+            # alive_names returns a fresh list, so we can shuffle it in
+            # place without copying.
+            alive = self.members.alive_names(exclude_self=True)
+            if not alive:
+                return None
+            self._probe_order = alive
+            _shuffle_exact(self._probe_order, self._rng.getrandbits)
             self._probe_index = 0
         alive_value = MemberState.ALIVE.value
         while self._probe_index < len(self._probe_order):
@@ -414,12 +383,12 @@ class SwimAgent(Process):
         return self._next_probe_target()
 
     def _next_probe_target_slots(self, np_rng) -> Optional[str]:
-        """v2 probe-order walk over a slot array instead of a name list.
-
-        Draw-for-draw identical to the name-list path (one ``permutation``
-        per wrap, the same known-and-alive skip filter), but the order lives
-        in an untracked numpy buffer and names materialize one target at a
-        time — see ``MembershipTable.permuted_alive_slots``.
+        """v2 probe-order walk: one vectorized ``permutation`` per wrap
+        replaces v1's per-element shuffle loop (the dominant cost of a wrap
+        at thousands of members). The order lives in an untracked numpy
+        slot buffer, names materialize one target at a time, and the walk
+        skips members no longer alive — see
+        ``MembershipTable.permuted_alive_slots``.
         """
         members = self.members
         order = self._probe_order_slots
@@ -656,8 +625,7 @@ class SwimAgent(Process):
 
     def _merge_state(self, state) -> None:
         # Anti-entropy snapshots are mostly re-delivery of known state; the
-        # table backend drops the stale bulk in one vectorized pass (the
-        # dict backend's filter is the identity and the loop does the work).
+        # table drops the stale bulk in one vectorized pass before the loop.
         self._apply_updates(self.members.filter_superseding(state))
 
     def _on_gossip(self, message: Message) -> None:

@@ -5,20 +5,13 @@ number generator. Everything in a run — gossip timers, network deliveries,
 workload arrivals — is an event on this single loop, which makes runs
 reproducible from a single seed.
 
-Scheduling backends (``scheduler=`` constructor knob):
-
-* ``"calendar"`` (default) — the calendar-queue/heap hybrid in
-  :mod:`repro.sim.events`, plus a :class:`TimerWheel` that coalesces
-  same-interval :class:`RepeatingTimer` storms (1600 nodes' probe ticks)
-  into one recycled sentinel entry per interval class;
-* ``"heap"`` — the original single binary heap with per-timer scheduling,
-  kept so equivalence tests and benchmarks can A/B the two. Both backends
-  produce bit-identical event order and RNG draws for the same seed.
-* ``"auto"`` — starts on the heap (cheapest at small live-queue widths) and
-  migrates every pending event into the calendar queue once the live width
-  crosses :data:`~repro.sim.events.AUTO_CALENDAR_THRESHOLD`. Both backends
-  drain in identical ``(time, seq)`` order, so the switch is invisible to
-  seeded runs.
+Scheduling: the queue is the calendar-queue/heap hybrid in
+:mod:`repro.sim.events`, and a :class:`TimerWheel` coalesces same-interval
+:class:`RepeatingTimer` storms (1600 nodes' probe ticks) into one recycled
+sentinel entry per interval class. Event order and RNG draws are
+bit-identical to a single binary heap with one self-scheduling event per
+timer firing; that reference lives in ``tests/oracles.py`` and the seeded
+equivalence tests run against it.
 
 Determinism profiles (``profile=`` constructor knob):
 
@@ -50,13 +43,7 @@ from heapq import heappop, heappush, heapreplace
 from typing import Any, Callable, Dict, Hashable, Optional, Tuple, TypeVar
 
 from repro.errors import SimulationError
-from repro.sim.events import (
-    AutoEventQueue,
-    Event,
-    EventQueue,
-    HeapEventQueue,
-    TimerHandle,
-)
+from repro.sim.events import Event, EventQueue, TimerHandle
 
 #: Valid determinism profiles; see the module docstring.
 PROFILES = ("v1", "v2")
@@ -80,14 +67,6 @@ class Simulator:
         Seed for the root RNG. Child components should derive their own
         streams via :meth:`derive_rng` so that adding a component does not
         perturb the randomness seen by unrelated components.
-    scheduler:
-        ``"calendar"`` (default) or ``"heap"``; see the module docstring.
-    coalesce_timers:
-        When ``True`` (default) repeating timers register with the shared
-        :class:`TimerWheel` instead of re-scheduling themselves one event per
-        firing. Ordering is bit-identical either way.
-    bucket_width / wheel_span:
-        Calendar-queue geometry, forwarded to :class:`EventQueue`.
     profile:
         Determinism profile, ``"v1"`` (default, bit-exact) or ``"v2"``
         (fast; batched numpy RNG + arena message records). Components read
@@ -120,10 +99,6 @@ class Simulator:
         self,
         seed: int = 0,
         *,
-        scheduler: str = "calendar",
-        coalesce_timers: bool = True,
-        bucket_width: Optional[float] = None,
-        wheel_span: Optional[int] = None,
         profile: str = "v1",
         gc_thresholds: Optional[Tuple[int, int, int]] = None,
         workers: int = 1,
@@ -157,32 +132,13 @@ class Simulator:
         self.gc_thresholds = gc_thresholds
         self._gc_frozen = False
         self._gc_prev_thresholds: Optional[Tuple[int, int, int]] = None
-        if scheduler == "calendar" or scheduler == "auto":
-            kwargs = {}
-            if bucket_width is not None:
-                kwargs["bucket_width"] = bucket_width
-            if wheel_span is not None:
-                kwargs["wheel_span"] = wheel_span
-            if scheduler == "auto":
-                self._queue = AutoEventQueue(**kwargs)
-            else:
-                self._queue = EventQueue(**kwargs)
-        elif scheduler == "heap":
-            self._queue = HeapEventQueue()
-        else:
-            raise SimulationError(
-                f"unknown scheduler {scheduler!r} "
-                "(expected 'calendar', 'heap' or 'auto')"
-            )
-        self.scheduler = scheduler
+        self._queue = EventQueue()
         #: v2: fired fire-and-forget events return here and are reused by the
         #: next ``post`` instead of being allocated fresh (slot storage for
         #: queued records — only ``post``-created events are pooled; anything
         #: a TimerHandle can still reach is never reused).
         self._event_pool: Optional[list] = [] if profile == "v2" else None
-        self._wheel: Optional[TimerWheel] = (
-            TimerWheel(self) if coalesce_timers else None
-        )
+        self._wheel = TimerWheel(self)
         self._now = 0.0
         self._running = False
         self._events_processed = 0
@@ -300,8 +256,7 @@ class Simulator:
         early, so back-to-back ``run_until`` calls behave like a wall clock.
 
         **Boundary rule** (load-bearing for the parallel kernel's window
-        barriers, identical across the heap, calendar and auto backends —
-        see ``tests/test_run_until_boundary.py``): the bound is *inclusive*.
+        barriers; pinned by ``tests/test_run_until_boundary.py``): the bound is *inclusive*.
         An event stamped exactly ``time`` executes inside this call, in
         ``(time, seq)`` order with everything else at that instant. An event
         pushed *during* the call with a stamp equal to the bound (e.g. a
@@ -486,7 +441,7 @@ class TimerWheel:
     member's exact ``(time, seq)`` key, with seq numbers allocated from the
     queue's shared counter at the same moments per-timer scheduling would
     allocate them — so event order, RNG draws and ``events_processed`` are
-    bit-identical to the un-coalesced implementation (asserted by
+    bit-identical to self-scheduling timers (asserted against the oracle in
     ``tests/test_sim_scheduler.py``), while each firing costs two small heap
     operations and zero allocations instead of an ``Event`` + ``TimerHandle``
     pair per period.
@@ -563,8 +518,8 @@ class TimerWheel:
                 cls.target = None
                 self._reap(cls)
                 return
-        # Re-arm before the callback, exactly like RepeatingTimer._fire: the
-        # jitter draw and seq allocation happen at the same moments they
+        # Re-arm before the callback, exactly like a self-scheduling timer:
+        # the jitter draw and seq allocation happen at the same moments they
         # would under per-timer scheduling. The sentinel fired *at* the
         # member's key, so the member's own ``time`` is the current clock.
         interval = timer._interval
@@ -664,9 +619,9 @@ class TimerWheel:
 class RepeatingTimer:
     """A periodic timer created by :meth:`Simulator.call_every`.
 
-    With timer coalescing on (the default) the timer registers with the
-    simulator's :class:`TimerWheel`; otherwise it re-schedules itself one
-    event per firing, which is the original (reference) behaviour.
+    The timer registers with the simulator's :class:`TimerWheel`, which
+    fires it in exactly the order one self-scheduling event per firing
+    would.
     """
 
     __slots__ = (
@@ -675,7 +630,6 @@ class RepeatingTimer:
         "_callback",
         "_jitter",
         "_rng",
-        "_handle",
         "_stopped",
         "_pending",
         "_pending_class",
@@ -694,7 +648,6 @@ class RepeatingTimer:
         self._callback = callback
         self._jitter = jitter
         self._rng = rng
-        self._handle: Optional[TimerHandle] = None
         self._stopped = False
         self._pending: Optional[Tuple[float, int]] = None
         self._pending_class: Optional[_IntervalClass] = None
@@ -719,11 +672,7 @@ class RepeatingTimer:
         delay = self._next_delay() if start_delay is None else start_delay
         if delay < 0:
             raise SimulationError(f"cannot schedule {delay:.6f}s in the past")
-        wheel = self._sim._wheel
-        if wheel is not None:
-            wheel.add(self, self._sim.now + delay)
-        else:
-            self._handle = self._sim.schedule(delay, self._fire)
+        self._sim._wheel.add(self, self._sim.now + delay)
 
     def stop(self) -> None:
         if self._stopped:
@@ -732,17 +681,8 @@ class RepeatingTimer:
         if self._pending_class is not None:
             self._sim._wheel.discard(self)
             self._pending_class = None
-        if self._handle is not None:
-            self._handle.cancel()
-            self._handle = None
 
     def _next_delay(self) -> float:
         if self._jitter > 0:
             return self._interval + self._rng.uniform(0.0, self._jitter)
         return self._interval
-
-    def _fire(self) -> None:
-        if self._stopped:
-            return
-        self._handle = self._sim.schedule(self._next_delay(), self._fire)
-        self._callback()

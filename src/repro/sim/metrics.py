@@ -152,6 +152,35 @@ class Histogram:
             self._values.append(value)
             self._sorted = False
 
+    def merge(self, other: "Histogram") -> None:
+        """Pool ``other``'s observations into this histogram.
+
+        Both must use the same storage mode. Streaming mode sums bucket
+        counts and keeps count, total, min and max exact; exact mode extends
+        the raw values. Either way every percentile afterwards is the one a
+        single histogram fed both observation streams would report.
+        """
+        if other.streaming != self.streaming:
+            raise ValueError(
+                f"cannot merge histogram {other.name!r} into {self.name!r}: "
+                f"storage modes differ"
+            )
+        if self.streaming:
+            buckets = self._buckets
+            for index, count in other._buckets.items():
+                if index in buckets:
+                    buckets[index] += count
+                else:
+                    buckets[index] = count
+                    self._bucket_order = None
+            self._count += other._count
+            self._total += other._total
+            self._min = min(self._min, other._min)
+            self._max = max(self._max, other._max)
+        elif other._values:
+            self._values.extend(other._values)
+            self._sorted = False
+
     def __len__(self) -> int:
         return self._count if self.streaming else len(self._values)
 
@@ -433,25 +462,12 @@ class BandwidthMeter:
         self._oldest = math.inf
         self._newest = -math.inf
 
-    def on_send(self, time: float, size: int) -> None:
-        self.bytes_sent += size
-        self.messages_sent += 1
-        if self.record_events:
-            self._sent.append(time, size)
-            if self.horizon is not None:
-                self._maybe_truncate(time)
-        else:
-            if time < self._oldest:
-                self._oldest = time
-            if time > self._newest:
-                self._newest = time
-
     def on_send_many(self, time: float, size: int, count: int) -> None:
-        """``count`` same-sized sends at one instant (fan-out fast path).
+        """Record ``count`` same-sized sends at one instant.
 
-        Identical observable state to ``count`` ``on_send`` calls: the event
-        log gains ``count`` entries and the truncation cadence advances once
-        per entry, so window queries and horizon sweeps are unchanged.
+        The event log gains ``count`` entries and the truncation cadence
+        advances once per entry, so a fan-out leaves the same state as
+        ``count`` sends recorded one at a time.
         """
         self.bytes_sent += size * count
         self.messages_sent += count

@@ -5,24 +5,25 @@ of the payload (JSON-oriented, matching the paper's JSON REST API and Serf's
 UDP messages), accounts it against both endpoints' bandwidth meters, and
 schedules delivery after the topology-derived one-way latency plus jitter.
 
-Delivery scheduling is batched by default: instead of one event-queue entry
-per in-flight message, every pending delivery lives in one shared heap
-ordered by its ``(time, seq)`` key, and exactly **one** recycled sentinel
-event sits in the main queue, aimed at the head message's exact key (the
-same sentinel-recycling discipline as the scheduler's timer wheel). When the
+Delivery scheduling is batched: instead of one event-queue entry per
+in-flight message, every pending delivery lives in one shared heap ordered by
+its ``(time, seq)`` key, and exactly **one** recycled sentinel event sits in
+the main queue, aimed at the head message's exact key (the same
+sentinel-recycling discipline as the scheduler's timer wheel). When the
 sentinel fires, the flush delivers every consecutive message whose key beats
 the main queue's head — advancing the clock and event count itself — so a
-burst of gossip and acks lands in one tight loop with one queue entry
-instead of dozens. An earlier revision bucketed messages into
-per-``(src-region, dst-region, jitter-bucket)`` delivery classes; measured
-at full-protocol density that fragmented consecutive deliveries across ~128
-sentinels (≈1.04 deliveries per flush — all sentinel churn, no batching),
-where the shared heap sustains ~5 per flush. Delivery keys are allocated at
-*send* time from the queue's shared sequence counter and every RNG draw
-(degradation, loss, jitter) stays in the send path, so event order, RNG
-streams and all metrics are byte-identical to the unbatched reference path
-(``delivery_batching=False``), which is retained for the seeded A/B
-equivalence tests and the ``net_delivery`` benchmark.
+burst of gossip and acks lands in one tight loop with one queue entry instead
+of dozens. Below :data:`DIRECT_POST_MAX` messages in flight a send posts its
+delivery directly instead, since at low density the sentinel would be
+re-aimed on nearly every send. Delivery keys are allocated at *send* time
+from the queue's shared sequence counter and every RNG draw (degradation,
+loss, jitter) stays in the send path, so which route a message takes never
+changes event order, RNG streams or metrics. The seeded equivalence tests
+pin that by forcing every delivery onto the direct route.
+
+:meth:`Network.send` and :meth:`Network.send_fanout` share one send path:
+size, meter and counter accounting once per call, then drop checks, latency
+and routing once per destination.
 
 Failure injection: per-pair blocks and region partitions let tests exercise
 the store's quorum behaviour and SWIM's suspicion mechanism. Blocks and
@@ -37,9 +38,10 @@ original reference implementation. Under ``v2`` (see ``sim/loop.py``) the
 same draws are taken in blocks of :data:`UNIFORM_BLOCK` from a numpy
 ``Generator`` and consumed in send order, and in-flight records live in a
 :class:`MessageArena` (parallel lists plus a free list, heap entries carry
-integer slots, one flyweight ``Message`` is refilled per delivery). Event
-*order* is identical between profiles — only the RNG byte stream differs —
-which is what the v1-vs-v2 statistical-equivalence suite checks.
+integer slots, one flyweight ``Message`` is refilled per delivery) whenever
+they take the batched route. Event *order* is identical between profiles —
+only the RNG byte stream differs — which is what the v1-vs-v2
+statistical-equivalence suite checks.
 """
 
 from __future__ import annotations
@@ -324,12 +326,6 @@ class Network:
         base times ``1 + uniform(0, jitter_fraction)``. Must be ``>= 0`` — a
         negative fraction could otherwise schedule delivery in the simulated
         past.
-    delivery_batching:
-        When ``True`` (default) in-flight messages are bucketed into
-        per-link-latency-class delivery batches with one coalesced sentinel
-        timer per class (see the module docstring); ``False`` posts one event
-        per message, the original reference behaviour. Both produce
-        bit-identical runs.
     record_bandwidth_events:
         When ``True`` meters keep per-message timestamped events so arbitrary
         windows can be measured; when ``False`` meters keep aggregates only
@@ -345,14 +341,6 @@ class Network:
         seconds behind its newest event; window queries that start inside the
         horizon are unaffected (see :class:`BandwidthMeter`). Bounds memory
         on long runs that only ever measure recent windows.
-    message_arena:
-        When ``True``, in-flight records on the batched path live in a
-        :class:`MessageArena` and handlers receive a refilled flyweight
-        ``Message`` (valid only during the handler call). Defaults to
-        ``None``, which resolves to "on" exactly when the simulator runs the
-        ``v2`` profile with delivery batching; forcing it ``True`` under v1
-        is allowed (the A/B tests do) and does not change event order or the
-        RNG stream — only object lifetimes.
     region_rng:
         When ``True``, loss/jitter and degraded-link draws come from
         per-*source-region* streams (``network@<region>`` /
@@ -374,10 +362,8 @@ class Network:
         *,
         loss_rate: float = 0.0,
         jitter_fraction: float = 0.1,
-        delivery_batching: bool = True,
         record_bandwidth_events: Optional[bool] = None,
         bandwidth_horizon: Optional[float] = None,
-        message_arena: Optional[bool] = None,
         region_rng: bool = False,
     ) -> None:
         if not 0.0 <= loss_rate <= 1.0:
@@ -468,9 +454,8 @@ class Network:
         self._drop_reason_counters: Dict[str, object] = {}
         # Delivery batching state. Sequence numbers come from the simulator
         # queue's shared counter — allocated at the same moments ``sim.post``
-        # would allocate them, so batched and unbatched runs interleave
-        # deliveries with timers identically.
-        self.delivery_batching = delivery_batching
+        # would allocate them, so batched and direct-posted deliveries
+        # interleave with timers identically.
         self._in_flight = _DeliveryBatch()
         self._queue = sim._queue
         self._alloc_seq = sim._queue._seq.__next__
@@ -481,10 +466,10 @@ class Network:
         # threshold through a path that only fills once the threshold is
         # already met.
         self._direct_outstanding = 0
-        if message_arena is None:
-            message_arena = delivery_batching and self._profile == "v2"
-        self.message_arena = message_arena and delivery_batching
-        self._arena = MessageArena() if self.message_arena else None
+        # v2: in-flight records on the batched path live in slot storage and
+        # handlers receive a refilled flyweight Message (valid only during
+        # the handler call); v1 keeps one Message object per delivery.
+        self._arena = MessageArena() if self._profile == "v2" else None
         # Flyweight refilled per arena delivery; fields are placeholders.
         self._flyweight = Message("", None, "", "", 0, 0.0)
 
@@ -646,116 +631,7 @@ class Network:
         ``payload`` may be a :class:`SizedPayload`, in which case its
         memoized size is used and the wrapped payload is what gets delivered.
         """
-        sender = self._endpoints.get(src)
-        if sender is None:
-            raise NetworkError(f"send from unregistered endpoint {src!r}")
-        if isinstance(payload, SizedPayload):
-            if size is None:
-                size = payload.size
-            payload = payload.payload
-        if size is None:
-            entry = self._wire_sizes.get(kind)
-            if entry is None:
-                size = approx_size(payload)
-            elif callable(entry):
-                size = entry(payload)
-            else:
-                size = entry
-        wire_size = size + MESSAGE_OVERHEAD_BYTES
-        now = self.sim.now
-        self.meter(src).on_send(now, wire_size)
-        self._messages_sent.inc()
-        self._bytes_sent.inc(wire_size)
-
-        # The destination's region is resolved once and shared by the drop
-        # checks, the latency model and the delivery-class key. A recently
-        # dead endpoint routes toward where it actually lived.
-        receiver = self._endpoints.get(dst)
-        if receiver is not None:
-            dst_region = receiver.region
-        else:
-            dst_region = self._last_region.get(dst)
-        src_region = sender.region
-        region_uniform = self._region_uniform
-        if region_uniform is not None:
-            uniform = region_uniform[src_region]
-            degrade_rng = self._region_degrade[src_region]
-        else:
-            uniform = self._uniform
-            degrade_rng = self._degrade_rng
-        if not (
-            self._blocked
-            or self._blocked_directed
-            or self._blocked_regions
-            or self._degraded
-            or self.loss_rate > 0
-        ):
-            # Fault-free fast path (see send_fanout): only the
-            # unknown-destination drop can apply, and _drop_reason makes no
-            # RNG draws in this state, so skipping the call is byte-exact.
-            if dst_region is None:
-                self._count_drop("unknown_destination")
-                return
-        else:
-            drop_reason = self._drop_reason(
-                src, dst, sender, dst_region, uniform, degrade_rng
-            )
-            if drop_reason is not None:
-                self._count_drop(drop_reason)
-                return
-        base = self.topology.latency(src_region, dst_region)
-        if self._degraded:
-            entry = self._degraded.get(frozenset((src, dst)))
-            if entry is not None:
-                base *= entry[0]
-        jitter_fraction = self.jitter_fraction
-        if jitter_fraction > 0.0:
-            latency = base * (1.0 + uniform() * jitter_fraction)
-        else:
-            latency = base
-        if latency < 0.0:
-            # Degenerate topologies (negative configured latency) must never
-            # schedule a delivery in the simulated past.
-            latency = 0.0
-        export = self._export
-        if export is not None and dst_region in self._remote_regions:
-            # Region-sharded mode: the destination lives in another worker.
-            # All accounting and RNG draws above already happened (identical
-            # to a local send); the delivery key's seq comes from the local
-            # counter exactly as the batched path would allocate it, and the
-            # coordinator merges it into the destination worker at the next
-            # window barrier.
-            export(src_region, dst_region, now + latency, self._alloc_seq(),
-                   kind, payload, src, dst, wire_size, now)
-            return
-        batch = self._in_flight
-        if not self.delivery_batching or (
-            len(batch.heap) + self._direct_outstanding < self._direct_post_max
-        ):
-            # Reference path: fire-and-forget, one queue entry per message
-            # (deliveries are never cancelled, so no TimerHandle either).
-            # Also taken at low in-flight density even when batching is on —
-            # see DIRECT_POST_MAX; the key comes from the same counter either
-            # way, so the drain order is unchanged.
-            self._direct_outstanding += 1
-            self.sim.post(
-                latency, self._deliver,
-                Message(kind, payload, src, dst, wire_size, now),
-            )
-            return
-        # Batched path: allocate the delivery key now (send order == seq
-        # order, exactly as sim.post would) and park the message in the
-        # in-flight heap; only the batch sentinel lives in the main queue.
-        delivery_time = now + latency
-        seq = self._alloc_seq()
-        arena = self._arena
-        if arena is not None:
-            record: object = arena.alloc(kind, payload, src, dst, wire_size, now)
-        else:
-            record = Message(kind, payload, src, dst, wire_size, now)
-        heappush(batch.heap, (delivery_time, seq, record))
-        if not batch.scheduled or (delivery_time, seq) < batch.target:
-            self._retarget_deliveries(batch)
+        self._send(src, (dst,), kind, payload, size)
 
     def send_fanout(
         self,
@@ -772,10 +648,26 @@ class Network:
         order: per-destination RNG draws (degradation, loss, jitter) happen
         in destination order, the sender's meter log and the drop/sent
         counters reach the same state, and delivery keys come from the same
-        shared counter. Only the per-message re-resolution of sender, size,
-        meter, counters, and hot attributes is hoisted out of the loop —
-        which matters because gossip fan-out is ~90% of all messages in the
-        full-protocol workload.
+        shared counter. Sender, size, meter and counters are resolved once
+        per call rather than once per destination, which matters because
+        gossip fan-out is ~90% of all messages in the full-protocol workload.
+        """
+        self._send(src, dsts, kind, payload, size)
+
+    def _send(
+        self,
+        src: str,
+        dsts: Sequence[str],
+        kind: str,
+        payload: object,
+        size: Optional[int],
+    ) -> None:
+        """The send path behind :meth:`send` and :meth:`send_fanout`.
+
+        The prologue (sender, wire size, sender meter, sent counters) runs
+        once; then each destination in order goes through the drop checks,
+        the latency draw and one of three delivery routes: export to another
+        region's worker, a direct per-message post, or the in-flight heap.
         """
         sender = self._endpoints.get(src)
         if sender is None:
@@ -800,7 +692,6 @@ class Network:
         self._bytes_sent.inc(wire_size * count)
         src_region = sender.region
         endpoints = self._endpoints
-        last_region = self._last_region
         latency_table = self.topology.latency_map()
         degraded = self._degraded
         jitter_fraction = self.jitter_fraction
@@ -812,14 +703,8 @@ class Network:
             uniform = self._uniform
             degrade_rng = self._degrade_rng
         export = self._export
-        remote_regions = self._remote_regions
-        delivery_batching = self.delivery_batching
-        direct_max = self._direct_post_max
         batch = self._in_flight
         heap = batch.heap
-        arena = self._arena
-        post = self.sim.post
-        deliver = self._deliver
         # Fault-free fast path: with no blocks, partitions, degradations or
         # loss configured, _drop_reason can only ever return
         # "unknown_destination" — that one check is kept inline and the call
@@ -832,11 +717,14 @@ class Network:
             or self.loss_rate > 0
         )
         for dst in dsts:
+            # The destination's region is resolved once and shared by the
+            # drop checks and the latency model. A recently dead endpoint
+            # routes toward where it actually lived.
             receiver = endpoints.get(dst)
             if receiver is not None:
                 dst_region = receiver.region
             else:
-                dst_region = last_region.get(dst)
+                dst_region = self._last_region.get(dst)
             if faultless:
                 if dst_region is None:
                     self._count_drop("unknown_destination")
@@ -858,21 +746,37 @@ class Network:
             else:
                 latency = base
             if latency < 0.0:
+                # Degenerate topologies (negative configured latency) must
+                # never schedule a delivery in the simulated past.
                 latency = 0.0
-            if export is not None and dst_region in remote_regions:
-                # Region-sharded mode: see the matching branch in send().
+            if export is not None and dst_region in self._remote_regions:
+                # Region-sharded mode: the destination lives in another
+                # worker. All accounting and RNG draws above already happened
+                # (identical to a local send); the delivery key's seq comes
+                # from the local counter exactly as the batched path would
+                # allocate it, and the coordinator merges it into the
+                # destination worker at the next window barrier.
                 export(src_region, dst_region, now + latency,
                        self._alloc_seq(), kind, payload, src, dst,
                        wire_size, now)
                 continue
-            if not delivery_batching or (
-                len(heap) + self._direct_outstanding < direct_max
-            ):
+            if len(heap) + self._direct_outstanding < self._direct_post_max:
+                # Low in-flight density: one fire-and-forget queue entry per
+                # message (see DIRECT_POST_MAX). The key comes from the same
+                # counter as the batched path's, so the drain order is
+                # unchanged.
                 self._direct_outstanding += 1
-                post(latency, deliver, Message(kind, payload, src, dst, wire_size, now))
+                self.sim.post(
+                    latency, self._deliver,
+                    Message(kind, payload, src, dst, wire_size, now),
+                )
                 continue
+            # Batched path: allocate the delivery key now (send order == seq
+            # order, exactly as sim.post would) and park the message in the
+            # in-flight heap; only the batch sentinel lives in the main queue.
             delivery_time = now + latency
             seq = self._alloc_seq()
+            arena = self._arena
             if arena is not None:
                 record: object = arena.alloc(kind, payload, src, dst, wire_size, now)
             else:
@@ -1062,8 +966,8 @@ class Network:
         sequence number, so a stale cached key can only ever end the drain
         early (the sentinel re-aims and the flush resumes), never late.
 
-        The delivery body inlines :meth:`_deliver` (the reference path) —
-        the two must stay in lockstep; the seeded A/B equivalence tests in
+        The delivery body inlines :meth:`_deliver` (the direct route) — the
+        two must stay in lockstep; the seeded equivalence tests in
         ``tests/test_sim_network_batching.py`` enforce it. The only
         intentional difference: the delivered-messages counter is batched
         per flush instead of incremented per message (nothing in the stack
@@ -1179,7 +1083,7 @@ class Network:
         return None
 
     def _deliver(self, message: Message) -> None:
-        """Deliver one message now (reference path; the batched flush in
+        """Deliver one message now (direct route; the batched flush in
         :meth:`_fire_deliveries` inlines this body — keep them in lockstep)."""
         self._direct_outstanding -= 1
         receiver = self._endpoints.get(message.dst)

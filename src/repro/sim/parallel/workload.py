@@ -84,7 +84,7 @@ def _build_shard(
             continue
         agent = SerfAgent(
             sim, network, f"n{i}", f"a{i}", region, config,
-            membership="table", directory=directory, probe_batcher=batcher,
+            directory=directory, probe_batcher=batcher,
         )
         agents.append(agent)
         local_index[i] = agent

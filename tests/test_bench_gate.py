@@ -165,6 +165,14 @@ class TestParallelKernel:
         )
         assert check(baseline, candidate) == []
 
+    def test_point_without_floor_fails(self):
+        point = parallel_point()
+        del point["min_speedup"]
+        baseline, candidate = self._pair(parallel_point(), point)
+        failures = check(baseline, candidate)
+        assert any("candidate" in f and "no min_speedup" in f
+                   for f in failures)
+
     def test_nightly_stretch_point_gated_too(self):
         baseline, candidate = self._pair(
             parallel_point(),

@@ -4,12 +4,12 @@ from hypothesis import given, strategies as st
 
 from repro.gossip.member import (
     Member,
-    MemberList,
     MemberState,
     RANK_BY_VALUE,
     STATE_BY_VALUE,
     supersedes,
 )
+from tests.oracles import MemberList
 
 states = st.sampled_from(list(MemberState))
 incarnations = st.integers(min_value=0, max_value=10)

@@ -3,7 +3,7 @@
 Two layers of pinning:
 
 * Hypothesis drives :class:`MembershipTable` and the dict-based
-  :class:`MemberList` reference through identical random
+  :class:`MemberList` oracle (``tests/oracles.py``) through identical random
   join/suspect/refute/fault/leave/reclaim sequences and asserts every
   observable — record contents, insertion order, alive views, snapshots,
   suspicion deadlines, ``apply`` return values, RNG selection draws — stays
@@ -16,15 +16,17 @@ Two layers of pinning:
 
 import json
 import random
+from contextlib import ExitStack
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.gossip.agent import SerfAgent, SerfConfig
-from repro.gossip.member import Member, MemberList, MemberState
+from repro.gossip.member import Member, MemberState
 from repro.gossip.membership import MembershipTable, NodeDirectory
 from repro.gossip.probe import RegionProbeBatcher
 from repro.sim import Network, Simulator, Topology
+from tests.oracles import MemberList, member_lists
 
 NAMES = [f"m{i}" for i in range(8)]
 REGIONS = ["region-a", "region-b", "region-c"]
@@ -263,7 +265,10 @@ class TestDirectoryAndRegions:
 
 
 def swim_equivalence_summary(membership: str, batched: bool, seed: int = 7) -> str:
-    """Full-protocol seeded run: join storm, crash, suspicion, Serf query."""
+    """Full-protocol seeded run: join storm, crash, suspicion, Serf query.
+
+    ``membership="dict"`` swaps the :class:`MemberList` oracle in.
+    """
     sim = Simulator(seed=seed)
     topology = Topology()
     network = Network(sim, topology)
@@ -273,18 +278,20 @@ def swim_equivalence_summary(membership: str, batched: bool, seed: int = 7) -> s
     batcher = RegionProbeBatcher(sim, config.probe_interval) if batched else None
     agents = []
     answers = []
+    backend = MembershipTable if membership == "table" else MemberList
     for i in range(8):
-        agent = SerfAgent(
-            sim,
-            network,
-            f"n{i}",
-            f"addr{i}",
-            regions[i % len(regions)],
-            config,
-            membership=membership,
-            directory=directory,
-            probe_batcher=batcher,
-        )
+        with member_lists() if membership == "dict" else ExitStack():
+            agent = SerfAgent(
+                sim,
+                network,
+                f"n{i}",
+                f"addr{i}",
+                regions[i % len(regions)],
+                config,
+                directory=directory,
+                probe_batcher=batcher,
+            )
+        assert type(agent.members) is backend
         agent.on_query("who", lambda payload, origin, a=agent: a.name)
         agent.start()
         agents.append(agent)

@@ -35,7 +35,7 @@ class TestBandwidthMeterAgainstNaive:
         start, end = min(window), max(window)
         meter = BandwidthMeter("m")
         for t, size in sent:
-            meter.on_send(t, size)
+            meter.on_send_many(t, size, 1)
         for t, size in received:
             meter.on_receive(t, size)
         expected = naive_bytes_in_window(sent, start, end) + naive_bytes_in_window(
@@ -48,7 +48,7 @@ class TestBandwidthMeterAgainstNaive:
         start, end = min(window), max(window)
         meter = BandwidthMeter("m")
         for t, size in sent:
-            meter.on_send(t, size)
+            meter.on_send_many(t, size, 1)
             # Query after every append so the prefix cache is repeatedly
             # extended and (on out-of-order input) rebuilt.
             meter.bytes_in_window(start, end)

@@ -13,10 +13,11 @@ import random
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.gossip.member import Member, MemberList, MemberState
+from repro.gossip.member import Member, MemberState
 from repro.gossip.membership import MembershipTable, NodeDirectory, group_directory
 from repro.harness.scenarios import build_focus_cluster
 from repro.sim.loop import Simulator
+from tests.oracles import MemberList
 
 REGIONS = ["region-a", "region-b", "region-c"]
 POOL = [f"g{i}" for i in range(90)]

@@ -10,9 +10,9 @@ v1's. What must hold instead:
 * v2 is exactly as deterministic as v1: same seed, same checksum, across
   runs and platforms (the numpy seed derivation hashes the label with
   sha256, so no ``PYTHONHASHSEED`` dependence);
-* within v2, every implementation arm (membership backend, delivery
-  batching, arena on/off, GC freeze on/off) is byte-identical to every
-  other — the profile is the *only* sanctioned source of divergence;
+* within v2, every implementation arm (delivery route, arena on/off, GC
+  freeze on/off) is byte-identical to every other — the profile is the
+  *only* sanctioned source of divergence;
 * v1 and v2 agree statistically: same converged membership views, same
   failure detections, event/byte totals within a few percent;
 * arena-backed message records round-trip bit-identically to object-backed
@@ -22,6 +22,7 @@ v1's. What must hold instead:
 from __future__ import annotations
 
 import json
+from contextlib import ExitStack
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +34,7 @@ from repro.sim import Network, Simulator, Topology
 from repro.sim.network import Message, MessageArena
 from repro.sim.process import Process
 from repro.sim.rpc import DEFERRED, RpcMixin
+from tests.oracles import assert_direct_only, direct_delivery
 
 #: The committed v1 determinism checksum (BENCH_kernel.json); byte-exactness
 #: of the v1 profile is part of this repo's public contract.
@@ -47,9 +49,8 @@ def swim_profile_run(
     seed: int = 99,
     num_nodes: int = 6,
     duration: float = 15.0,
-    membership: str = "table",
-    delivery_batching: bool = True,
-    message_arena=None,
+    direct: bool = False,
+    arena=None,
     freeze: bool = False,
     crash_at=None,
 ):
@@ -60,20 +61,23 @@ def swim_profile_run(
     ``crash_at=(t, index)`` stops one agent mid-run to exercise failure
     detection; the returned summary then also carries each surviving
     agent's view of the victim.
+
+    ``direct=True`` forces every delivery onto the direct per-message post.
+    ``arena`` overrides the profile's arena choice (on exactly under
+    v2) by swapping the network's arena after construction.
     """
     sim = Simulator(seed=seed, profile=profile)
     topology = Topology()
-    network = Network(
-        sim, topology,
-        delivery_batching=delivery_batching,
-        message_arena=message_arena,
-    )
+    with direct_delivery() if direct else ExitStack():
+        network = Network(sim, topology)
+    if arena is not None:
+        network._arena = MessageArena() if arena else None
     regions = [r.name for r in topology.regions]
     agents = []
     for i in range(num_nodes):
         agent = SwimAgent(
             sim, network, f"n{i}", f"a{i}", regions[i % len(regions)],
-            SwimConfig(sync_interval=5.0), membership=membership,
+            SwimConfig(sync_interval=5.0),
         )
         agent.start()
         agents.append(agent)
@@ -90,6 +94,8 @@ def swim_profile_run(
     sim.run_until(duration)
     if freeze:
         sim.unfreeze_hot_state()
+    if direct:
+        assert_direct_only(network)
     summary = {
         "events": sim.events_processed,
         "counters": {
@@ -156,7 +162,7 @@ class TestV1ByteExactness:
     def test_v1_unaffected_by_arena_opt_in(self):
         """Forcing the arena under v1 changes object lifetimes only."""
         reference = swim_profile_run(profile="v1")
-        assert swim_profile_run(profile="v1", message_arena=True) == reference
+        assert swim_profile_run(profile="v1", arena=True) == reference
 
     def test_v1_unaffected_by_freeze(self):
         reference = swim_profile_run(profile="v1")
@@ -173,13 +179,12 @@ class TestV2Determinism:
         assert swim_profile_run(profile="v2") != swim_profile_run(profile="v1")
 
     def test_v2_arms_byte_identical(self):
-        """Membership backend, delivery batching, arena, and GC freeze are
-        all implementation details *within* the v2 stream."""
+        """Delivery route, arena, and GC freeze are all implementation
+        details *within* the v2 stream."""
         reference = swim_profile_run(profile="v2")
         arms = [
-            dict(membership="dict"),
-            dict(delivery_batching=False),
-            dict(message_arena=False),
+            dict(direct=True),
+            dict(arena=False),
             dict(freeze=True),
         ]
         for arm in arms:

@@ -1,26 +1,37 @@
 """``run_until(t)`` boundary semantics, pinned across every backend.
 
-One rule, three implementations (heap, calendar, auto-migrating): the
-bound is **inclusive**. An event stamped exactly ``t`` executes inside
+One rule, held by the calendar queue and by the heap oracle in
+``tests/oracles.py``: the bound is **inclusive**. An event stamped exactly ``t`` executes inside
 ``run_until(t)``; a zero-delay event posted by a callback running at
 ``t`` also executes; only stamps strictly greater than ``t`` carry over.
 After the call returns, an event scheduled at exactly ``now`` belongs to
 the *next* call — that is what lets the parallel kernel inject
 cross-region messages at a window barrier and know they sort into the
-following window on every backend.
+following window on either queue.
 """
+
+from contextlib import ExitStack
 
 import pytest
 
-from repro.sim.events import AUTO_CALENDAR_THRESHOLD
+from repro.sim.events import EventQueue
 from repro.sim.loop import Simulator
+from tests.oracles import HeapEventQueue, heap_scheduler
 
-BACKENDS = ["heap", "calendar", "auto"]
+BACKENDS = ["heap", "calendar"]
+
+
+def make_sim(scheduler: str) -> Simulator:
+    with heap_scheduler() if scheduler == "heap" else ExitStack():
+        sim = Simulator(seed=0)
+    expected = HeapEventQueue if scheduler == "heap" else EventQueue
+    assert type(sim._queue) is expected
+    return sim
 
 
 @pytest.mark.parametrize("scheduler", BACKENDS)
 def test_event_at_exact_bound_runs_inside_the_call(scheduler):
-    sim = Simulator(seed=0, scheduler=scheduler)
+    sim = make_sim(scheduler)
     fired = []
     sim.schedule_at(1.0, fired.append, "at-bound")
     sim.schedule_at(1.0 + 1e-12, fired.append, "past-bound")
@@ -33,7 +44,7 @@ def test_event_at_exact_bound_runs_inside_the_call(scheduler):
 
 @pytest.mark.parametrize("scheduler", BACKENDS)
 def test_zero_delay_post_from_callback_at_bound_runs_inside(scheduler):
-    sim = Simulator(seed=0, scheduler=scheduler)
+    sim = make_sim(scheduler)
     fired = []
     sim.schedule_at(1.0, lambda: sim.post(0.0, fired.append, "chained"))
     sim.run_until(1.0)
@@ -44,8 +55,8 @@ def test_zero_delay_post_from_callback_at_bound_runs_inside(scheduler):
 def test_event_at_now_after_return_runs_in_next_call(scheduler):
     # The parallel kernel's barrier-injection contract: after
     # run_until(t) returns, scheduling at exactly t lands in the next
-    # window, on every backend.
-    sim = Simulator(seed=0, scheduler=scheduler)
+    # window, on either queue.
+    sim = make_sim(scheduler)
     sim.run_until(1.0)
     fired = []
     sim.schedule_at(1.0, fired.append, "injected")
@@ -56,45 +67,9 @@ def test_event_at_now_after_return_runs_in_next_call(scheduler):
 
 @pytest.mark.parametrize("scheduler", BACKENDS)
 def test_ties_at_bound_run_in_schedule_order(scheduler):
-    sim = Simulator(seed=0, scheduler=scheduler)
+    sim = make_sim(scheduler)
     fired = []
     for i in range(5):
         sim.schedule_at(1.0, fired.append, i)
     sim.run_until(1.0)
     assert fired == [0, 1, 2, 3, 4]
-
-
-def test_auto_migration_does_not_move_the_boundary():
-    # Load the auto backend past its calendar-migration threshold with a
-    # timer sitting exactly at the bound, and compare against the plain
-    # heap: the set of fired timers must be identical on both sides of
-    # the migration.
-    def drive(scheduler):
-        sim = Simulator(seed=0, scheduler=scheduler)
-        fired = []
-        count = AUTO_CALENDAR_THRESHOLD + 16
-        for i in range(count):
-            sim.schedule_at(1.0 + (i % 7) * 0.25, fired.append, i)
-        sim.schedule_at(2.0, fired.append, "at-bound")
-        sim.run_until(2.0)  # inclusive: 1.0..2.0 fire, 2.25+ carry over
-        before = list(fired)
-        sim.run_until(3.0)
-        return before, fired
-
-    auto_before, auto_all = drive("auto")
-    heap_before, heap_all = drive("heap")
-    assert auto_before == heap_before
-    assert auto_all == heap_all
-    assert "at-bound" in auto_before
-
-
-def test_auto_backend_migrates_at_threshold():
-    sim = Simulator(seed=0, scheduler="auto")
-    for i in range(AUTO_CALENDAR_THRESHOLD + 1):
-        sim.schedule_at(1.0 + i * 1e-4, lambda: None)
-    # Whatever the internal representation, the boundary rule holds with
-    # a timer at exactly the bound after migration.
-    fired = []
-    sim.schedule_at(1.05, fired.append, "post-migration-bound")
-    sim.run_until(1.05)
-    assert fired == ["post-migration-bound"]

@@ -180,6 +180,39 @@ class TestStreamingHistogram:
             h.percentile(-1)
 
 
+class TestHistogramMerge:
+    values = st.lists(
+        st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+        max_size=60,
+    )
+
+    @pytest.mark.parametrize("streaming", [False, True], ids=["exact", "streaming"])
+    @given(left=values, right=values)
+    @settings(max_examples=60)
+    def test_merged_percentiles_match_union(self, streaming, left, right):
+        merged = Histogram("a", streaming=streaming)
+        other = Histogram("b", streaming=streaming)
+        union = Histogram("u", streaming=streaming)
+        for v in left:
+            merged.observe(v)
+            union.observe(v)
+        for v in right:
+            other.observe(v)
+            union.observe(v)
+        merged.merge(other)
+        assert merged.count == union.count
+        for p in (0, 1, 25, 50, 75, 99, 100):
+            got, want = merged.percentile(p), union.percentile(p)
+            assert got == want or (math.isnan(got) and math.isnan(want))
+        assert merged.min() == union.min() or math.isnan(union.min())
+        assert merged.max() == union.max() or math.isnan(union.max())
+        assert merged.total == pytest.approx(union.total)
+
+    def test_mixed_modes_rejected(self):
+        with pytest.raises(ValueError):
+            Histogram("a").merge(Histogram("b", streaming=True))
+
+
 class TestTimeSeries:
     def test_window_and_mean(self):
         ts = TimeSeries("t")
@@ -209,7 +242,7 @@ class TestTimeSeries:
 class TestBandwidthMeter:
     def test_totals(self):
         m = BandwidthMeter("m")
-        m.on_send(0.0, 100)
+        m.on_send_many(0.0, 100, 1)
         m.on_receive(1.0, 50)
         assert m.bytes_sent == 100
         assert m.bytes_received == 50
@@ -220,7 +253,7 @@ class TestBandwidthMeter:
     def test_windowed_rate(self):
         m = BandwidthMeter("m")
         for t in range(10):
-            m.on_send(float(t), 100)
+            m.on_send_many(float(t), 100, 1)
         assert m.bytes_in_window(0.0, 4.0) == 500
         assert m.rate_bps(0.0, 10.0) == pytest.approx(100.0)
 
@@ -231,14 +264,14 @@ class TestBandwidthMeter:
 
     def test_reset(self):
         m = BandwidthMeter("m")
-        m.on_send(0.0, 100)
+        m.on_send_many(0.0, 100, 1)
         m.reset()
         assert m.total_bytes == 0
         assert m.bytes_in_window(0, 10) == 0
 
     def test_no_event_recording(self):
         m = BandwidthMeter("m", record_events=False)
-        m.on_send(0.0, 100)
+        m.on_send_many(0.0, 100, 1)
         m.on_receive(2.0, 50)
         assert m.bytes_sent == 100
         # Aggregate mode: a window covering every observed event answers
@@ -259,19 +292,19 @@ class TestBandwidthMeter:
     def test_interleaved_record_and_window_query(self):
         m = BandwidthMeter("m")
         for t in range(50):
-            m.on_send(float(t), 10)
+            m.on_send_many(float(t), 10, 1)
             assert m.bytes_in_window(0.0, float(t)) == 10 * (t + 1)
 
     def test_out_of_order_events_still_counted(self):
         m = BandwidthMeter("m")
         for t in (5.0, 1.0, 3.0):
-            m.on_send(t, 100)
+            m.on_send_many(t, 100, 1)
         assert m.bytes_in_window(0.0, 3.5) == 200
         assert m.bytes_in_window(0.0, 10.0) == 300
 
     def test_event_accessors(self):
         m = BandwidthMeter("m")
-        m.on_send(1.0, 10)
+        m.on_send_many(1.0, 10, 1)
         m.on_receive(2.0, 20)
         assert m.sent_events() == [(1.0, 10)]
         assert m.received_events() == [(2.0, 20)]
@@ -292,8 +325,8 @@ class TestBandwidthMeterTruncation:
         plain = BandwidthMeter("plain")
         ring = BandwidthMeter("ring", horizon=horizon)
         for t, size in sorted(sent):
-            plain.on_send(t, size)
-            ring.on_send(t, size)
+            plain.on_send_many(t, size, 1)
+            ring.on_send_many(t, size, 1)
         for t, size in sorted(received):
             plain.on_receive(t, size)
             ring.on_receive(t, size)
@@ -311,7 +344,7 @@ class TestBandwidthMeterTruncation:
     def test_truncation_drops_old_events(self):
         m = BandwidthMeter("m", horizon=10.0)
         for t in range(100):
-            m.on_send(float(t), 1)
+            m.on_send_many(float(t), 1, 1)
         m.truncate_now()
         assert len(m.sent_events()) == 11  # t in [89, 99]
         assert m.bytes_in_window(89.0, 99.0) == 11
@@ -321,7 +354,7 @@ class TestBandwidthMeterTruncation:
         m = BandwidthMeter("m", horizon=1.0)
         step = 1.0 / 256  # 256 events per horizon; sweep every 1024
         for i in range(20_000):
-            m.on_send(i * step, 1)
+            m.on_send_many(i * step, 1, 1)
         # Without truncation the log would hold 20k events; with it the log
         # can never exceed one horizon plus one sweep period of backlog.
         assert len(m.sent_events()) <= 256 + m._TRUNCATE_EVERY
@@ -340,7 +373,7 @@ class TestBandwidthMeterTruncation:
         events there are gone, so any number it returned would be wrong."""
         m = BandwidthMeter("m", horizon=10.0)
         for t in range(100):
-            m.on_send(float(t), 1)
+            m.on_send_many(float(t), 1, 1)
         m.truncate_now()
         assert m.truncated_before == 89.0
         with pytest.raises(WindowTruncatedError):
@@ -354,7 +387,7 @@ class TestBandwidthMeterTruncation:
     def test_truncated_before_is_minus_inf_until_events_dropped(self):
         m = BandwidthMeter("m", horizon=10.0)
         assert m.truncated_before == -math.inf
-        m.on_send(1.0, 1)
+        m.on_send_many(1.0, 1, 1)
         m.on_receive(2.0, 1)
         m.truncate_now()  # nothing older than the horizon: no-op
         assert m.truncated_before == -math.inf
@@ -363,7 +396,7 @@ class TestBandwidthMeterTruncation:
     def test_truncated_before_tracks_both_directions(self):
         m = BandwidthMeter("m", horizon=5.0)
         for t in range(20):
-            m.on_send(float(t), 1)
+            m.on_send_many(float(t), 1, 1)
         m.on_receive(19.0, 1)
         m.truncate_now()  # drops sends before 14.0; receive log untouched
         assert m.truncated_before == 14.0
@@ -374,12 +407,12 @@ class TestBandwidthMeterTruncation:
     def test_reset_clears_truncation_point(self):
         m = BandwidthMeter("m", horizon=1.0)
         for t in range(10):
-            m.on_send(float(t), 1)
+            m.on_send_many(float(t), 1, 1)
         m.truncate_now()
         assert m.truncated_before > -math.inf
         m.reset()
         assert m.truncated_before == -math.inf
-        m.on_send(0.5, 3)
+        m.on_send_many(0.5, 3, 1)
         assert m.bytes_in_window(0.0, 1.0) == 3
 
     def test_window_truncated_error_is_value_error(self):

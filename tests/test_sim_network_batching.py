@@ -1,16 +1,20 @@
 """Batched delivery equivalence and in-flight fault accounting.
 
-The delivery batcher buckets in-flight messages into per-``(src-region,
-dst-region, jitter-bucket)`` classes with one coalesced sentinel event each;
-it must be *invisible* — same event order, same RNG draws, same bytes on the
-wire as the one-event-per-message reference path. These tests pin that
-equivalence (seeded full-protocol run + a Hypothesis sweep over random
-topologies and fault plans), plus the drop-accounting bugfixes that rode
-along: in-flight partition/block re-checks, dead-destination partition
-attribution, and jitter/loss validation with a latency clamp.
+The delivery batcher parks in-flight messages in one shared heap with one
+coalesced sentinel event; it must be *invisible* — same event order, same
+RNG draws, same bytes on the wire as posting one event per message. The
+reference arm forces every delivery onto that direct post (the
+:func:`~tests.oracles.direct_delivery` pin) and asserts the in-flight heap
+was never used. These tests pin that equivalence (seeded full-protocol run +
+a Hypothesis sweep over random topologies and fault plans), plus the
+drop-accounting bugfixes that rode along: in-flight partition/block
+re-checks, dead-destination partition attribution, and jitter/loss
+validation with a latency clamp.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +31,25 @@ from repro.faults import (
 from repro.gossip.swim import SwimAgent, SwimConfig
 from repro.sim import Network, Region, Simulator, Topology
 from repro.sim.process import Process
+from tests.oracles import assert_direct_only, direct_delivery
+
+
+@contextmanager
+def delivery_arm(sim, topology, *, batched, **kwargs):
+    """A network on the batched route, or pinned to direct posts.
+
+    The direct arm's in-flight heap is checked untouched when the block
+    exits, so a pin that silently failed cannot compare the batched route
+    with itself.
+    """
+    if batched:
+        network = Network(sim, topology, **kwargs)
+    else:
+        with direct_delivery():
+            network = Network(sim, topology, **kwargs)
+    yield network
+    if not batched:
+        assert_direct_only(network)
 
 
 class Chatter(Process):
@@ -87,32 +110,32 @@ def chatter_run(
 ):
     sim = Simulator(seed=seed)
     topo = topology if topology is not None else Topology()
-    network = Network(
+    with delivery_arm(
         sim,
         topo,
+        batched=batched,
         loss_rate=loss_rate,
         jitter_fraction=jitter_fraction,
-        delivery_batching=batched,
-    )
-    regions = [r.name for r in topo.regions]
-    trace = []
-    network.add_delivery_tap(
-        lambda m: trace.append((sim.now, m.kind, m.src, m.dst, m.size))
-    )
-    nodes = []
-    for i in range(num_nodes):
-        peer = f"c{(i + 1) % num_nodes}"
-        node = Chatter(
-            sim, network, f"c{i}", regions[i % len(regions)], peer, 0.05
+    ) as network:
+        regions = [r.name for r in topo.regions]
+        trace = []
+        network.add_delivery_tap(
+            lambda m: trace.append((sim.now, m.kind, m.src, m.dst, m.size))
         )
-        node.start()
-        nodes.append(node)
-    if plan is not None:
-        engine = ChaosEngine(
-            sim, network, targets={n.address: n for n in nodes}
-        )
-        engine.execute(plan)
-    sim.run_until(duration)
+        nodes = []
+        for i in range(num_nodes):
+            peer = f"c{(i + 1) % num_nodes}"
+            node = Chatter(
+                sim, network, f"c{i}", regions[i % len(regions)], peer, 0.05
+            )
+            node.start()
+            nodes.append(node)
+        if plan is not None:
+            engine = ChaosEngine(
+                sim, network, targets={n.address: n for n in nodes}
+            )
+            engine.execute(plan)
+        sim.run_until(duration)
     return network_summary(sim, network, trace)
 
 
@@ -120,25 +143,25 @@ def swim_run(*, batched, seed=7, num_nodes=10, duration=8.0, loss_rate=0.05):
     """Full SWIM protocol (probes, suspicion, piggyback gossip, sync)."""
     sim = Simulator(seed=seed)
     topology = Topology()
-    network = Network(
-        sim, topology, loss_rate=loss_rate, delivery_batching=batched
-    )
-    regions = [r.name for r in topology.regions]
-    trace = []
-    network.add_delivery_tap(
-        lambda m: trace.append((sim.now, m.kind, m.src, m.dst, m.size))
-    )
-    agents = []
-    for i in range(num_nodes):
-        agent = SwimAgent(
-            sim, network, f"n{i}", f"a{i}", regions[i % len(regions)],
-            SwimConfig(sync_interval=5.0),
+    with delivery_arm(
+        sim, topology, batched=batched, loss_rate=loss_rate
+    ) as network:
+        regions = [r.name for r in topology.regions]
+        trace = []
+        network.add_delivery_tap(
+            lambda m: trace.append((sim.now, m.kind, m.src, m.dst, m.size))
         )
-        agent.start()
-        agents.append(agent)
-    for agent in agents[1:]:
-        agent.join(["a0"])
-    sim.run_until(duration)
+        agents = []
+        for i in range(num_nodes):
+            agent = SwimAgent(
+                sim, network, f"n{i}", f"a{i}", regions[i % len(regions)],
+                SwimConfig(sync_interval=5.0),
+            )
+            agent.start()
+            agents.append(agent)
+        for agent in agents[1:]:
+            agent.join(["a0"])
+        sim.run_until(duration)
     summary = network_summary(sim, network, trace)
     summary["alive"] = sorted(
         (a.name, len(a.members.alive())) for a in agents
@@ -148,7 +171,7 @@ def swim_run(*, batched, seed=7, num_nodes=10, duration=8.0, loss_rate=0.05):
 
 class TestBatchedEquivalence:
     def test_swim_full_protocol_identical(self):
-        """Seeded A/B: the batched path replays the reference run exactly —
+        """Seeded A/B: the batched route replays the direct run exactly —
         event counts, drop counters, per-endpoint bytes, and the full
         delivery trace (time, kind, src, dst, size per message)."""
         reference = swim_run(batched=False)
@@ -167,21 +190,21 @@ class TestBatchedEquivalence:
 
         def sliced(batched):
             sim = Simulator(seed=5)
-            network = Network(sim, Topology(), delivery_batching=batched)
-            regions = [r.name for r in network.topology.regions]
-            trace = []
-            network.add_delivery_tap(
-                lambda m: trace.append((sim.now, m.src, m.dst))
-            )
-            nodes = [
-                Chatter(sim, network, f"c{i}", regions[i % len(regions)],
-                        f"c{(i + 1) % 4}", 0.05)
-                for i in range(4)
-            ]
-            for node in nodes:
-                node.start()
-            for stop in (0.013, 0.0371, 0.5, 0.5, 1.25):
-                sim.run_until(stop)
+            with delivery_arm(sim, Topology(), batched=batched) as network:
+                regions = [r.name for r in network.topology.regions]
+                trace = []
+                network.add_delivery_tap(
+                    lambda m: trace.append((sim.now, m.src, m.dst))
+                )
+                nodes = [
+                    Chatter(sim, network, f"c{i}", regions[i % len(regions)],
+                            f"c{(i + 1) % 4}", 0.05)
+                    for i in range(4)
+                ]
+                for node in nodes:
+                    node.start()
+                for stop in (0.013, 0.0371, 0.5, 0.5, 1.25):
+                    sim.run_until(stop)
             return network_summary(sim, network, trace)
 
         assert sliced(True) == sliced(False)
@@ -482,18 +505,18 @@ class TestParameterValidationAndClamp:
         topo = Topology(
             [Region("weird", 0.0, 0.0)], intra_region_latency=-0.002
         )
-        network = Network(
-            sim, topo, jitter_fraction=0.0, delivery_batching=batched
-        )
-        a = Chatter(sim, network, "a", "weird", "b", 1000.0)
-        b = Chatter(sim, network, "b", "weird", "a", 1000.0)
-        a.start()
-        b.start()
-        network.degrade_link("a", "b", latency_multiplier=5.0)
-        sim.run_until(1.0)
-        delivered_at = []
-        network.add_delivery_tap(lambda m: delivered_at.append(sim.now))
-        a.send("b", "ping", {"n": 1})  # raw latency would be -0.01s
-        sim.run_until(2.0)
+        with delivery_arm(
+            sim, topo, batched=batched, jitter_fraction=0.0
+        ) as network:
+            a = Chatter(sim, network, "a", "weird", "b", 1000.0)
+            b = Chatter(sim, network, "b", "weird", "a", 1000.0)
+            a.start()
+            b.start()
+            network.degrade_link("a", "b", latency_multiplier=5.0)
+            sim.run_until(1.0)
+            delivered_at = []
+            network.add_delivery_tap(lambda m: delivered_at.append(sim.now))
+            a.send("b", "ping", {"n": 1})  # raw latency would be -0.01s
+            sim.run_until(2.0)
         assert delivered_at and delivered_at[0] == pytest.approx(1.0)
         assert network.metrics.counter("messages_delivered").value >= 1

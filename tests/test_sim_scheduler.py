@@ -1,8 +1,8 @@
 """Scheduler equivalence and edge-case tests.
 
-The calendar-queue/heap hybrid (``scheduler="calendar"``) and the timer
-wheel (``coalesce_timers=True``) must be *bit-identical* to the reference
-single-heap scheduler: same event order, same RNG draws, same
+The calendar-queue/heap hybrid and the timer wheel must be *bit-identical*
+to the reference single-heap scheduler with self-scheduling timers (the
+oracles in ``tests/oracles.py``): same event order, same RNG draws, same
 ``events_processed``, same metrics. These tests pin that equivalence on a
 real seeded SWIM run and on randomized synthetic workloads, then cover the
 edge cases a bucketed scheduler can get wrong: bucket-boundary exactness,
@@ -12,15 +12,25 @@ timer-wheel interval-class bookkeeping.
 
 import json
 import random
+from contextlib import ExitStack, contextmanager
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import SimulationError
 from repro.gossip.swim import SwimAgent, SwimConfig
-from repro.sim import Network, Simulator, Topology
+from repro.sim import Network, Simulator, Topology, loop
 from repro.sim.events import DEFAULT_BUCKET_WIDTH, EventQueue
+from tests.oracles import (
+    HeapEventQueue,
+    SelfSchedulingTimer,
+    heap_scheduler,
+    self_scheduling_timers,
+)
 
+#: (scheduler, timer wheel) per arm: ``"heap"`` swaps in the heap oracle and
+#: ``False`` the self-scheduling timer oracle. The first arm is the
+#: all-oracle reference; the last is the production kernel.
 CONFIGS = [
     ("heap", False),
     ("heap", True),
@@ -31,29 +41,34 @@ CONFIGS = [
 CONFIG_IDS = [f"{s}-{'wheel' if c else 'plain'}" for s, c in CONFIGS]
 
 
+@contextmanager
+def arm(scheduler: str, coalesce: bool):
+    """Build simulators and timers inside this block on the given arm."""
+    with ExitStack() as stack:
+        if scheduler == "heap":
+            stack.enter_context(heap_scheduler())
+        if not coalesce:
+            stack.enter_context(self_scheduling_timers())
+        yield
+
+
+def check_arm(sim: Simulator, scheduler: str, coalesce=None) -> None:
+    """The arm really ran its oracles (or really ran without them).
+
+    ``coalesce=None`` skips the timer check, for runs with no periodic
+    timers.
+    """
+    expected = HeapEventQueue if scheduler == "heap" else EventQueue
+    assert type(sim._queue) is expected
+    if coalesce is not None:
+        assert (sim._wheel.class_count() > 0) == coalesce
+
+
 def swim_summary(scheduler: str, coalesce: bool, seed: int = 7) -> str:
     """Canonical JSON summary of a seeded SWIM run under one scheduler."""
-    sim = Simulator(seed=seed, scheduler=scheduler, coalesce_timers=coalesce)
-    topology = Topology()
-    network = Network(sim, topology)
-    regions = [r.name for r in topology.regions]
-    agents = []
-    for i in range(8):
-        agent = SwimAgent(
-            sim,
-            network,
-            f"n{i}",
-            f"addr{i}",
-            regions[i % len(regions)],
-            SwimConfig(sync_interval=5.0),
-        )
-        agent.start()
-        agents.append(agent)
-    for agent in agents[1:]:
-        agent.join(["addr0"])
-    sim.run_until(8.0)
-    agents[3].stop()  # exercise timer teardown + dead-endpoint deliveries
-    sim.run_until(20.0)
+    with arm(scheduler, coalesce):
+        sim, agents, network = _swim_run(seed)
+    check_arm(sim, scheduler, coalesce)
     summary = {
         "events_processed": sim.events_processed,
         "counters": {
@@ -76,6 +91,31 @@ def swim_summary(scheduler: str, coalesce: bool, seed: int = 7) -> str:
     return json.dumps(summary, sort_keys=True)
 
 
+def _swim_run(seed: int):
+    sim = Simulator(seed=seed)
+    topology = Topology()
+    network = Network(sim, topology)
+    regions = [r.name for r in topology.regions]
+    agents = []
+    for i in range(8):
+        agent = SwimAgent(
+            sim,
+            network,
+            f"n{i}",
+            f"addr{i}",
+            regions[i % len(regions)],
+            SwimConfig(sync_interval=5.0),
+        )
+        agent.start()
+        agents.append(agent)
+    for agent in agents[1:]:
+        agent.join(["addr0"])
+    sim.run_until(8.0)
+    agents[3].stop()  # exercise timer teardown + dead-endpoint deliveries
+    sim.run_until(20.0)
+    return sim, agents, network
+
+
 class TestSchedulerEquivalence:
     """The acceptance gate: every backend produces the same bytes."""
 
@@ -90,18 +130,20 @@ class TestSchedulerEquivalence:
         """Mixed-interval repeating timers: exact (time, seq, cb) traces."""
 
         def trace(scheduler, coalesce):
-            sim = Simulator(seed=3, scheduler=scheduler, coalesce_timers=coalesce)
             log = []
             timers = []
-            for i, interval in enumerate([0.1, 0.1, 0.25, 0.25, 1.0, 0.1]):
-                timers.append(
-                    sim.call_every(
-                        interval,
-                        (lambda i=i: log.append((round(sim.now, 9), i))),
-                        jitter=interval * 0.1,
-                        rng=sim.derive_rng(f"t{i}"),
+            with arm(scheduler, coalesce):
+                sim = Simulator(seed=3)
+                for i, interval in enumerate([0.1, 0.1, 0.25, 0.25, 1.0, 0.1]):
+                    timers.append(
+                        sim.call_every(
+                            interval,
+                            (lambda i=i: log.append((round(sim.now, 9), i))),
+                            jitter=interval * 0.1,
+                            rng=sim.derive_rng(f"t{i}"),
+                        )
                     )
-                )
+            check_arm(sim, scheduler, coalesce)
             sim.schedule(2.0, timers[1].stop)
             sim.schedule(3.0, lambda: timers[2].set_interval(0.5))
             sim.run_until(6.0)
@@ -110,56 +152,6 @@ class TestSchedulerEquivalence:
         reference = trace("heap", False)
         for scheduler, coalesce in CONFIGS[1:]:
             assert trace(scheduler, coalesce) == reference
-
-    def test_auto_backend_matches_reference(self):
-        """The width-adaptive facade is just another bit-identical backend."""
-        reference = swim_summary("heap", False)
-        assert swim_summary("auto", False) == reference
-        assert swim_summary("auto", True) == reference
-
-    def test_auto_upgrades_at_threshold_and_preserves_order(self):
-        """Crossing the live-width threshold migrates heap -> calendar with
-        every pending (time, seq) key intact and tombstones dropped."""
-        from repro.sim.events import AutoEventQueue
-
-        sim = Simulator(seed=0, scheduler="auto")
-        queue = sim._queue
-        assert isinstance(queue, AutoEventQueue)
-        assert queue.backend_name == "heap"
-        queue._threshold = 24
-        fired = []
-        rng = random.Random(5)
-        delays = [rng.random() * 30.0 for _ in range(64)]
-        handles = [
-            sim.schedule(d, lambda i=i: fired.append(i))
-            for i, d in enumerate(delays)
-        ]
-        for i in range(0, 16, 2):  # tombstone some pre-migration entries
-            handles[i].cancel()
-        assert queue.backend_name == "calendar"
-        sim.run_until(40.0)
-        cancelled = set(range(0, 16, 2))
-        expected = [
-            i for i, _ in sorted(enumerate(delays), key=lambda p: (p[1], p[0]))
-            if i not in cancelled
-        ]
-        assert fired == expected
-
-    def test_auto_seq_counter_shared_across_migration(self):
-        """Events keyed before and after the upgrade interleave correctly —
-        the sequence counter must be one stream across both backends."""
-        from repro.sim.events import AutoEventQueue
-
-        sim = Simulator(seed=0, scheduler="auto")
-        assert isinstance(sim._queue, AutoEventQueue)
-        sim._queue._threshold = 8
-        fired = []
-        # Same target time for everything: ordering is decided purely by seq.
-        for i in range(20):
-            sim.schedule(1.0, lambda i=i: fired.append(i))
-        assert sim._queue.backend_name == "calendar"
-        sim.run_until(2.0)
-        assert fired == list(range(20))
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10**6))
@@ -175,26 +167,26 @@ class TestSchedulerEquivalence:
             ops.append((t, rng.random() * 40.0, rng.random() < 0.25))
 
         def run(scheduler):
-            sim = Simulator(seed=0, scheduler=scheduler)
+            with arm(scheduler, True):
+                sim = Simulator(seed=0)
+            check_arm(sim, scheduler)
             fired = []
             for i, (at, delay, cancel) in enumerate(ops):
-                def arm(i=i, delay=delay, cancel=cancel):
+                def schedule_one(i=i, delay=delay, cancel=cancel):
                     handle = sim.schedule(delay, lambda i=i: fired.append((round(sim.now, 9), i)))
                     if cancel:
                         handle.cancel()
-                sim.schedule_at(at, arm)
+                sim.schedule_at(at, schedule_one)
             sim.run_until(120.0)
             return fired, sim.events_processed
 
-        reference = run("heap")
-        assert run("calendar") == reference
-        assert run("auto") == reference
+        assert run("calendar") == run("heap")
 
 
 class TestCalendarQueueEdges:
     def test_run_until_exact_at_bucket_edge(self):
         """Events exactly on a bucket boundary fire when the clock reaches it."""
-        sim = Simulator(seed=0, scheduler="calendar")
+        sim = Simulator(seed=0)
         width = sim._queue.bucket_width
         fired = []
         for k in (1, 2, 3):
@@ -207,7 +199,7 @@ class TestCalendarQueueEdges:
 
     def test_zero_delay_self_rescheduling(self):
         """Zero-delay chains land in the already-draining front bucket."""
-        sim = Simulator(seed=0, scheduler="calendar")
+        sim = Simulator(seed=0)
         hits = []
 
         def chain(n):
@@ -222,7 +214,7 @@ class TestCalendarQueueEdges:
 
     def test_cancel_then_fire_race_across_bucket_boundary(self):
         """Cancelling from an earlier bucket suppresses a later-bucket event."""
-        sim = Simulator(seed=0, scheduler="calendar")
+        sim = Simulator(seed=0)
         width = sim._queue.bucket_width
         fired = []
         victim = sim.schedule(2.5 * width, lambda: fired.append("victim"))
@@ -232,9 +224,11 @@ class TestCalendarQueueEdges:
         assert fired == ["survivor"]
         assert victim.cancelled
 
-    def test_overflow_migrates_into_wheel(self):
+    def test_overflow_migrates_into_wheel(self, monkeypatch):
         """Far-future events beyond the horizon still fire, in order."""
-        sim = Simulator(seed=0, scheduler="calendar", wheel_span=8)
+        monkeypatch.setattr(loop, "EventQueue", lambda: EventQueue(wheel_span=8))
+        sim = Simulator(seed=0)
+        monkeypatch.undo()
         width = sim._queue.bucket_width
         horizon = 8 * width
         fired = []
@@ -247,7 +241,7 @@ class TestCalendarQueueEdges:
 
     def test_overflow_only_queue_jumps_window(self):
         """An empty wheel with a distant head jumps instead of spinning."""
-        sim = Simulator(seed=0, scheduler="calendar")
+        sim = Simulator(seed=0)
         fired = []
         sim.schedule(10_000.0, lambda: fired.append("far"))
         sim.run_until(10_000.0)
@@ -290,7 +284,9 @@ class TestCalendarQueueEdges:
         assert len(queue) == 0
 
     def test_bad_scheduler_name_rejected(self):
-        with pytest.raises(SimulationError):
+        # The scheduler is no longer selectable: any ``scheduler=`` is an
+        # unknown keyword.
+        with pytest.raises(TypeError):
             Simulator(scheduler="fifo")
 
     def test_bad_geometry_rejected(self):
@@ -391,9 +387,13 @@ class TestTimerWheel:
     def test_wheel_off_matches_wheel_on_per_timer_state(self):
         traces = {}
         for coalesce in (False, True):
-            sim = Simulator(seed=5, coalesce_timers=coalesce)
             fired = []
-            sim.call_every(0.25, lambda: fired.append(round(sim.now, 9)))
+            with arm("calendar", coalesce):
+                sim = Simulator(seed=5)
+                timer = sim.call_every(
+                    0.25, lambda: fired.append(round(sim.now, 9))
+                )
+            assert isinstance(timer, SelfSchedulingTimer) != coalesce
             sim.run_until(2.0)
             traces[coalesce] = fired
         assert traces[False] == traces[True] != []
